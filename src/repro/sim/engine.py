@@ -63,15 +63,90 @@ class TickStats:
     energy_by_type_j: dict[str, float] = field(default_factory=dict)
 
 
+class TickPlan(NamedTuple):
+    """One planned tick: everything it changes, computed but not applied.
+
+    Attributes:
+        t0_wall: host wall time when planning began (0.0 with obs off).
+        placement / sig: the thread→hardware placement and the
+            scheduler's signature for it (``None``: no signature).
+        cache_hit: whether the placement cache served the placement
+            (``None``: the cache was not consulted).
+        freqs: the core frequencies the tick ran at.
+        progress: ``(process, perf.rate * dt)`` per process holding a slot.
+        finished: ``(process, frac)`` per process that completes during
+            the tick, after ``frac`` of it; such a plan spans one tick.
+        ops: ``(container, key, increment)`` accumulator adds, in the
+            order the tick applies them.
+        pelt: ``(thread, gain)`` per placed thread: its PELT update is
+            ``u * decay + gain``.
+        core_util: per-core utilization the governor sees next tick.
+        stats: the tick's :class:`TickStats`.
+    """
+
+    t0_wall: float
+    placement: dict[ThreadId, int]
+    sig: tuple | None
+    cache_hit: bool | None
+    freqs: dict[int, float]
+    progress: list[tuple[SimProcess, float]]
+    finished: list[tuple[SimProcess, float]]
+    ops: list[tuple[dict, object, float]]
+    pelt: list[tuple[SimThread, float]]
+    core_util: dict[int, float]
+    stats: TickStats
+
+
+#: Elements per array in :func:`_replay_ops`; bounds the memory of long leaps.
+_REPLAY_CHUNK = 1 << 16
+
+
+def _replay_ops(ops: list[tuple[dict, object, float]], n: int) -> None:
+    """Apply one tick's accumulator ``ops`` ``n`` times, bit-identically.
+
+    Each accumulator replays its own per-tick adds, in tick order, ``n``
+    times over, as one running sum.  Same-tick adds are never pre-summed
+    (float addition does not re-associate), and ``np.add.accumulate``
+    adds strictly left to right, so the result is IEEE-identical to the
+    scalar sequence.  Accumulators with the same number of adds per tick
+    share one 2-D array; long leaps go in chunks of ticks.
+    """
+    per_acc: dict[tuple[int, object], tuple[dict, object, list[float]]] = {}
+    for acc, key, inc in ops:
+        entry = per_acc.get((id(acc), key))
+        if entry is None:
+            entry = per_acc[(id(acc), key)] = (acc, key, [])
+        entry[2].append(inc)
+    by_count: dict[int, list[tuple[dict, object, list[float]]]] = {}
+    for entry in per_acc.values():
+        by_count.setdefault(len(entry[2]), []).append(entry)
+    for k, entries in by_count.items():
+        vals = np.array([acc.get(key, 0.0) for acc, key, _ in entries], dtype=float)
+        incs = np.array([e[2] for e in entries], dtype=float)
+        chunk = max(1, _REPLAY_CHUNK // (len(entries) * k))
+        left = n
+        while left > 0:
+            m = min(chunk, left)
+            seq = np.empty((len(entries), 1 + m * k))
+            seq[:, 0] = vals
+            seq[:, 1:] = np.tile(incs, m)
+            vals = np.add.accumulate(seq, axis=1)[:, -1]
+            left -= m
+        for (acc, key, _), value in zip(entries, vals.tolist()):
+            acc[key] = value
+
+
 class World:
     """A complete simulated machine plus its workload.
 
     This is the fixed-tick reference engine: every tick costs one full
     pass of scheduler/app-model/power work regardless of whether anything
-    is runnable.  :class:`repro.sim.event.EventWorld` subclasses it with
-    an event heap that leaps over idle stretches; both present the same
-    API (``spawn``/``kill``/``run_for``/callbacks) and are bit-compatible
-    on tick-equivalent scenarios.
+    is runnable.  A tick is planned by :meth:`_plan_tick` and applied by
+    :meth:`_commit`; :meth:`step` is the two in a row.
+    :class:`repro.sim.event.EventWorld` subclasses it with an event heap
+    and commits one plan over whole idle or stable busy stretches; both
+    present the same API (``spawn``/``kill``/``run_for``/callbacks) and
+    are bit-compatible on tick-equivalent scenarios.
     """
 
     #: True on event-driven subclasses; listeners that need to be woken at
@@ -181,9 +256,10 @@ class World:
         self._core_nthreads = np.array(
             [len(c.hw_threads) for c in cores], dtype=float
         )
-        self._hw_grouped = [
-            t.thread_id for c in cores for t in c.hw_threads
-        ]
+        self._hw_pos = {
+            t.thread_id: pos
+            for pos, t in enumerate(t for c in cores for t in c.hw_threads)
+        }
         self._group_starts = np.concatenate(
             ([0], np.cumsum([len(c.hw_threads) for c in cores])[:-1])
         ).astype(int)
@@ -362,14 +438,38 @@ class World:
         return handles
 
     # -- stepping ----------------------------------------------------------------
+    #
+    # A tick is planned, then committed.  ``_plan_tick`` runs the whole
+    # scheduler/model/power pipeline and returns everything the tick would
+    # change as a :class:`TickPlan`; ``_commit(plan, n)`` applies it n
+    # times.  ``step`` commits one tick, and the event engine commits the
+    # same plan over a stable stretch, so the energy books have exactly
+    # one writer.
 
-    def step(self) -> TickStats:
-        """Advance the world by one tick."""
-        obs_on = OBS.enabled
-        t0_wall = OBS.walltime() if obs_on else 0.0
+    def step(self, plan: TickPlan | None = None) -> TickStats:
+        """Advance the world by one tick.
+
+        ``plan`` is this tick's plan when the caller already built it
+        (the event engine plans before it decides whether to leap).
+        """
+        stats = self._commit(self._plan_tick() if plan is None else plan, 1)
+        for callback in self.on_tick:
+            callback(self)
+        for callback in self.on_event:
+            callback(self)
+        return stats
+
+    def _plan_tick(self) -> TickPlan:
+        """Compute one tick without applying it.
+
+        Nothing in the world changes, apart from whatever a stateful
+        model's own ``perf`` keeps: ``perf`` runs exactly once per planned
+        tick, and the plan must then be committed.
+        """
+        t0_wall = OBS.walltime() if OBS.enabled else 0.0
         dt = self.tick_s
         self.runnable_pairs()  # refresh the per-tick demand snapshot
-        placement = self._placement_for()
+        placement, sig, cache_hit = self._placement_for()
 
         threads_on_hw: dict[int, list[ThreadId]] = {}
         for tid, hw_id in placement.items():
@@ -403,16 +503,17 @@ class World:
 
         # Build slots per process and evaluate the application models.
         # Only processes with at least one placed thread can make
-        # progress (a slotless process fell through to ``continue``
-        # before), so the loop visits exactly those, in the ascending-pid
-        # order the full scan used to visit them in.
+        # progress, so the loop visits exactly those, in ascending-pid
+        # order.  Every accumulator add is recorded as an op, in the
+        # order the tick applies it.
+        ops: list[tuple[dict, object, float]] = []
+        pelt: list[tuple[SimThread, float]] = []
+        progress: list[tuple[SimProcess, float]] = []
+        finished: list[tuple[SimProcess, float]] = []
+        gain_scale = 1 - _decay_for(dt)
         busy_fraction: dict[int, float] = {}
         app_busy_on_core: dict[int, dict[int, float]] = {}
-        stats = TickStats(time_s=self.time_s)
-        decaying = self._decaying
-        just_finished: list[SimProcess] = []
-        placed_pids = {tid.pid for tid in placement}
-        for pid in sorted(placed_pids):
+        for pid in sorted({tid.pid for tid in placement}):
             process = self.processes[pid]
             slots = []
             slot_threads: list[SimThread] = []
@@ -432,15 +533,17 @@ class World:
             if not slots:
                 continue
             perf = process.model.perf(slots, process)
+            rate_dt = perf.rate * dt
+            progress.append((process, rate_dt))
             frac = 1.0
             remaining = process.remaining_work()
-            if perf.rate > 0 and perf.rate * dt >= remaining:
-                frac = remaining / (perf.rate * dt) if remaining > 0 else 0.0
-                process.work_done = process.model.total_work
-                process.finished = True
-                process.finish_time_s = self.time_s + dt * frac
+            if perf.rate > 0 and rate_dt >= remaining:
+                frac = remaining / rate_dt if remaining > 0 else 0.0
+                finished.append((process, frac))
             else:
-                process.work_done += perf.rate * dt
+                # Attribute accumulators go through the instance dict, so
+                # every op is one dict add.
+                ops.append((vars(process), "work_done", rate_dt))
 
             cpu_time = 0.0
             for slot, thread, activity in zip(slots, slot_threads, perf.activities):
@@ -448,52 +551,13 @@ class World:
                 busy_fraction[slot.hw_thread_id] = (
                     busy_fraction.get(slot.hw_thread_id, 0.0) + used
                 )
-                app_busy_on_core.setdefault(slot.core_id, {})
-                app_busy_on_core[slot.core_id][process.pid] = (
-                    app_busy_on_core[slot.core_id].get(process.pid, 0.0) + used
-                )
-                thread.update_utilization(activity * slot.share, dt)
-                if thread.utilization != 0.0:  # harplint: disable=HL003 -- exact fixed point, not a tolerance check
-                    decaying[thread.tid] = thread
-                else:
-                    decaying.pop(thread.tid, None)
+                mix = app_busy_on_core.setdefault(slot.core_id, {})
+                mix[pid] = mix.get(pid, 0.0) + used
+                pelt.append((thread, activity * slot.share * gain_scale))
                 slot_time = used * dt
                 cpu_time += slot_time
-                process.cpu_time_by_type[slot.core_type] = (
-                    process.cpu_time_by_type.get(slot.core_type, 0.0) + slot_time
-                )
-            self.perf.accumulate(process.pid, perf.ips * frac, dt, cpu_time)
-            if process.finished:
-                just_finished.append(process)
-                # A finished process's active_threads is empty: its PELT
-                # averages freeze at their current values, exactly as the
-                # full scan left them.
-                for thread in process.threads:
-                    decaying.pop(thread.tid, None)
-
-        # Idle threads decay their PELT utilization.  Only threads whose
-        # average is still nonzero need the update — zero is an exact
-        # fixed point, and with zero activity the full update
-        # ``u*decay + 0.0*(1-decay)`` is bitwise ``u*decay`` — so the
-        # loop is one multiply per recently-active thread.  Exit events
-        # (finish above, kill) prune their threads' entries; a thread
-        # detached by ``set_nthreads`` keeps decaying its orphaned
-        # ``SimThread`` object, which no observable state references.
-        if decaying:
-            decay = _decay_for(dt)
-            drained: list[ThreadId] | None = None
-            for tid, thread in decaying.items():
-                if tid in placement:
-                    continue  # updated in the slot loop above
-                u = thread.utilization * decay
-                thread.utilization = u
-                if u == 0.0:  # harplint: disable=HL003 -- underflow to the exact fixed point
-                    if drained is None:
-                        drained = []
-                    drained.append(tid)
-            if drained:
-                for tid in drained:
-                    del decaying[tid]
+                ops.append((process.cpu_time_by_type, slot.core_type, slot_time))
+            ops.extend(self.perf.increments(pid, perf.ips * frac, dt, cpu_time))
 
         # Power integration.  Package-level superlinearity: VRM losses and
         # current-dependent leakage make per-core active power rise
@@ -505,25 +569,74 @@ class World:
             else 0.0
         )
         superlinear = 0.92 + 0.16 * load_ratio
-        if self.vectorized:
-            package_power = self._integrate_power_vectorized(
-                busy_fraction, app_busy_on_core, freqs, stats, dt, superlinear
-            )
-        else:
-            package_power = self._integrate_power_reference(
-                busy_fraction, app_busy_on_core, freqs, stats, dt, superlinear
-            )
+        stats = TickStats(time_s=self.time_s)
+        integrate = (
+            self._integrate_power_vectorized
+            if self.vectorized
+            else self._integrate_power_reference
+        )
+        package_power, core_util = integrate(
+            busy_fraction, app_busy_on_core, freqs, stats, dt, superlinear, ops
+        )
         stats.package_power_w = package_power
-        self.package_sensor.accumulate(package_power, dt)
+        return TickPlan(
+            t0_wall, placement, sig, cache_hit, freqs, progress, finished,
+            ops, pelt, core_util, stats,
+        )
+
+    def _commit(self, plan: TickPlan, n: int) -> TickStats:
+        """Apply ``plan`` for ``n`` consecutive ticks, bit-identically.
+
+        ``n > 1`` is only sound when the caller has proved the plan holds
+        for every one of those ticks (see :class:`repro.sim.event.EventWorld`);
+        a plan with a finishing process holds for one tick only.  Listener
+        callbacks other than exit notifications are the caller's job.
+        """
+        dt = self.tick_s
+        if n == 1:
+            for acc, key, inc in plan.ops:
+                acc[key] = acc.get(key, 0.0) + inc
+        else:
+            if plan.finished:
+                raise ValueError("a plan with a finishing process spans one tick")
+            _replay_ops(plan.ops, n)
+        self._commit_pelt(plan, n)
+        for process, frac in plan.finished:
+            process.work_done = process.model.total_work
+            process.finished = True
+            process.finish_time_s = self.time_s + dt * frac
+            # A finished process's active_threads is empty: its PELT
+            # averages freeze at their current values.
+            for thread in process.threads:
+                self._decaying.pop(thread.tid, None)
+        if n == 1:
+            self.package_sensor.accumulate(plan.stats.package_power_w, dt)
+        else:
+            self.package_sensor.accumulate_constant(
+                plan.stats.package_power_w, dt, n
+            )
+        self._core_util = plan.core_util
+        if plan.cache_hit is False and plan.sig is not None:
+            self._placement_sig = plan.sig
+            self._placement_cache = plan.placement
+
+        # The cumulative clock replays every per-tick addition, keeping
+        # the start time of the final tick for the stats.
+        t = self.time_s
+        for _ in range(n - 1):
+            t += dt
+        stats = plan.stats
+        stats.time_s = t
         self.last_stats = stats
+        self.time_s = t + dt
+        self.tick_index += n
 
         # Completion notifications happen after accounting for the tick.
-        self.time_s += dt
-        self.tick_index += 1
-        for process in just_finished:
+        obs_on = OBS.enabled
+        for process, _ in plan.finished:
             self._running.pop(process.pid, None)
             self._awake.pop(process.pid, None)
-        for process in just_finished:
+        for process, _ in plan.finished:
             if obs_on:
                 OBS.event(
                     "process.exit", track=f"app:{process.model.name}",
@@ -533,15 +646,92 @@ class World:
                 callback(process)
             for callback in self.on_process_exit:
                 callback(process)
-        for callback in self.on_tick:
-            callback(self)
-        for callback in self.on_event:
-            callback(self)
         if obs_on:
             handles = self._obs_hot()
-            handles[1].inc()
-            handles[2].observe(OBS.walltime() - t0_wall)
+            handles[1].inc(n)
+            handles[2].observe(OBS.walltime() - plan.t0_wall)
+            if plan.cache_hit is not None:
+                # After a miss the new signature serves the rest of the
+                # stretch; without a signature every tick misses.
+                hits = (
+                    n if plan.cache_hit
+                    else n - 1 if plan.sig is not None
+                    else 0
+                )
+                if hits:
+                    handles[3].inc(hits)
+                if n - hits:
+                    handles[4].inc(n - hits)
         return stats
+
+    def _commit_pelt(self, plan: TickPlan, n: int) -> None:
+        """PELT over ``n`` ticks: placed threads accumulate, the rest decay.
+
+        Only threads whose average is nonzero need the idle decay: zero
+        is an exact fixed point, and with zero activity the full update
+        ``u*decay + 0.0*(1-decay)`` is bitwise ``u*decay``.  Exit events
+        prune their threads' entries; a thread detached by
+        ``set_nthreads`` keeps decaying its orphaned ``SimThread`` object,
+        which no observable state references.  Past one tick the updates
+        are elementwise array operations, which are IEEE-identical to the
+        scalar sequence.
+        """
+        decay = _decay_for(self.tick_s)
+        decaying = self._decaying
+        placement = plan.placement
+        if n == 1:
+            for thread, gain in plan.pelt:
+                u = thread.utilization * decay + gain
+                thread.utilization = u
+                if u != 0.0:  # harplint: disable=HL003 -- exact fixed point, not a tolerance check
+                    decaying[thread.tid] = thread
+                else:
+                    decaying.pop(thread.tid, None)
+            # A finished process's active_threads is empty: its PELT
+            # averages freeze at their current values.
+            for process, _ in plan.finished:
+                for thread in process.threads:
+                    decaying.pop(thread.tid, None)
+            drained = []
+            for tid, thread in decaying.items():
+                if tid not in placement:
+                    u = thread.utilization * decay
+                    thread.utilization = u
+                    if u == 0.0:  # harplint: disable=HL003 -- underflow to the exact fixed point
+                        drained.append(tid)
+            for tid in drained:
+                del decaying[tid]
+            return
+
+        if plan.pelt:
+            placed = np.array([t.utilization for t, _ in plan.pelt], dtype=float)
+            gains = np.array([g for _, g in plan.pelt], dtype=float)
+            for _ in range(n):
+                placed *= decay
+                placed += gains
+            for (thread, _), u in zip(plan.pelt, placed.tolist()):
+                thread.utilization = u
+                if u != 0.0:  # harplint: disable=HL003 -- exact fixed point, not a tolerance check
+                    decaying[thread.tid] = thread
+                else:
+                    decaying.pop(thread.tid, None)
+        idle = [t for tid, t in decaying.items() if tid not in placement]
+        if idle:
+            # Once every idle average has decayed to exactly 0.0 the
+            # remaining multiplies are no-ops, so the loop exits early.
+            utils = np.array([t.utilization for t in idle], dtype=float)
+            remaining = n
+            while remaining > 0:
+                chunk = min(remaining, 256)
+                for _ in range(chunk):
+                    utils *= decay
+                remaining -= chunk
+                if not utils.any():
+                    break
+            for thread, u in zip(idle, utils.tolist()):
+                thread.utilization = u
+                if u == 0.0:  # harplint: disable=HL003 -- underflow to the exact fixed point
+                    del decaying[thread.tid]
 
     def ticks_in(self, seconds: float) -> int:
         """Number of ticks covering ``seconds`` of sim time.
@@ -587,34 +777,25 @@ class World:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _placement_for(self) -> dict[ThreadId, int]:
-        """This tick's placement, reusing the last one when nothing changed.
+    def _placement_for(self) -> tuple[dict[ThreadId, int], tuple | None, bool | None]:
+        """This tick's placement, its signature, and whether the cache served it.
 
         In vectorized mode, schedulers exposing a placement signature (a
         pure function of runnable threads and affinity masks) are only
         invoked when that signature changes — i.e. when the thread set or
         the HARP allocation actually moved.  Cached placements were
-        validated when first computed.
+        validated when first computed.  The cache flag is ``None`` when
+        the cache was not consulted (reference mode, or no live process);
+        the cache itself is updated on commit.
         """
         if not self._running:
-            return {}
-        if self.vectorized:
-            sig = self.scheduler.placement_signature(self)
-            if sig is not None and sig == self._placement_sig:
-                if OBS.enabled:
-                    self._obs_hot()[3].inc()
-                return self._placement_cache
-            placement = self.scheduler.place(self)
-            self._validate_placement(placement)
-            if sig is not None:
-                self._placement_sig = sig
-                self._placement_cache = placement
-            if OBS.enabled:
-                self._obs_hot()[4].inc()
-            return placement
+            return {}, None, None
+        sig = self.scheduler.placement_signature(self)
+        if self.vectorized and sig is not None and sig == self._placement_sig:
+            return self._placement_cache, sig, True
         placement = self.scheduler.place(self)
         self._validate_placement(placement)
-        return placement
+        return placement, sig, False if self.vectorized else None
 
     def _integrate_power_reference(
         self,
@@ -624,10 +805,16 @@ class World:
         stats: TickStats,
         dt: float,
         superlinear: float,
-    ) -> float:
-        """Original scalar per-core power/energy integration."""
+        ops: list,
+    ) -> tuple[float, dict[int, float]]:
+        """Original scalar per-core power/energy integration.
+
+        Fills ``stats``, appends the tick's accumulator adds to ``ops``
+        and returns (package power, per-core utilization).
+        """
         package_power = self.platform.uncore_power_w
         core_util: dict[int, float] = {}
+        attribution: list[tuple[float, dict[int, float]]] = []
         for core in self.platform.cores:
             fractions = [
                 min(1.0, busy_fraction.get(t.thread_id, 0.0))
@@ -656,30 +843,16 @@ class World:
             stats.busy_time_by_type[type_name] = (
                 stats.busy_time_by_type.get(type_name, 0.0) + busy_sum * dt
             )
-            self.busy_time_by_type_s[type_name] += busy_sum * dt
+            ops.append((self.busy_time_by_type_s, type_name, busy_sum * dt))
             energy = power * dt
             stats.energy_by_type_j[type_name] = (
                 stats.energy_by_type_j.get(type_name, 0.0) + energy
             )
-            self.energy_by_type_j[type_name] += energy
-            # Ground-truth dynamic-energy attribution for validation:
-            # weighted by each application's actual power intensity, which
-            # the γ-based attribution of Eq. 3 cannot observe.
-            dynamic = power - core.core_type.idle_power_w
-            contributions = app_busy_on_core.get(core.core_id)
-            if dynamic > 0 and contributions:
-                weights = {
-                    pid: used * self.processes[pid].model.power_intensity
-                    for pid, used in contributions.items()
-                }
-                total_weight = sum(weights.values())
-                if total_weight > 0:
-                    for pid, weight in weights.items():
-                        self.processes[pid].energy_true_j += (
-                            dynamic * dt * weight / total_weight
-                        )
-        self._core_util = core_util
-        return package_power
+            ops.append((self.energy_by_type_j, type_name, energy))
+            if mix:
+                attribution.append((power - idle, mix))
+        self._attribute_dynamic(attribution, dt, ops)
+        return package_power, core_util
 
     def _integrate_power_vectorized(
         self,
@@ -689,7 +862,8 @@ class World:
         stats: TickStats,
         dt: float,
         superlinear: float,
-    ) -> float:
+        ops: list,
+    ) -> tuple[float, dict[int, float]]:
         """Array-shaped power/energy integration over all cores at once.
 
         Implements the same formulas as the scalar reference (see
@@ -701,167 +875,9 @@ class World:
         energy-attribution corrections stay dict-driven — they touch just
         the cores that actually ran application work this tick.
         """
-        busy = np.zeros(len(self._hw_grouped))
-        if busy_fraction:
-            for pos, hw_id in enumerate(self._hw_grouped):
-                frac = busy_fraction.get(hw_id)
-                if frac is not None:
-                    busy[pos] = frac if frac < 1.0 else 1.0
-        fsum = np.add.reduceat(busy, self._group_starts)
-        fmax = np.maximum.reduceat(busy, self._group_starts)
-        freq = np.array([freqs[cid] for cid in self._core_ids], dtype=float)
-        ratio = freq / self._core_max_freq
-        scale = STATIC_FRACTION + (1.0 - STATIC_FRACTION) * ratio**3
-        power = (
-            self._core_idle_w
-            + self._core_active_w * scale * fmax
-            + self._core_smt_w * scale * (fsum - fmax)
-        )
-        intensity = np.ones(len(self._core_ids))
-        for core_id, mix in app_busy_on_core.items():
-            total_busy = sum(mix.values())
-            if total_busy > 0:
-                intensity[self._core_row[core_id]] = sum(
-                    used * self.processes[pid].model.power_intensity
-                    for pid, used in mix.items()
-                ) / total_busy
-        power = (
-            self._core_idle_w
-            + (power - self._core_idle_w) * intensity * superlinear
-        )
-        package_power = self.platform.uncore_power_w + float(power.sum())
-        self._core_util = dict(
-            zip(self._core_ids, (fsum / self._core_nthreads).tolist())
-        )
-        n_types = len(self._type_names)
-        busy_by_type = np.bincount(
-            self._core_type_idx, weights=fsum, minlength=n_types
-        )
-        energy_by_type = np.bincount(
-            self._core_type_idx, weights=power, minlength=n_types
-        )
-        for name, b, e in zip(self._type_names, busy_by_type, energy_by_type):
-            stats.busy_time_by_type[name] = (
-                stats.busy_time_by_type.get(name, 0.0) + b * dt
-            )
-            self.busy_time_by_type_s[name] += b * dt
-            stats.energy_by_type_j[name] = (
-                stats.energy_by_type_j.get(name, 0.0) + e * dt
-            )
-            self.energy_by_type_j[name] += e * dt
-        # Ground-truth dynamic-energy attribution for validation: weighted
-        # by each application's actual power intensity, which the γ-based
-        # attribution of Eq. 3 cannot observe.
-        for core_id, contributions in app_busy_on_core.items():
-            dynamic = float(
-                power[self._core_row[core_id]]
-                - self._core_idle_w[self._core_row[core_id]]
-            )
-            if dynamic <= 0 or not contributions:
-                continue
-            weights = {
-                pid: used * self.processes[pid].model.power_intensity
-                for pid, used in contributions.items()
-            }
-            total_weight = sum(weights.values())
-            if total_weight > 0:
-                for pid, weight in weights.items():
-                    self.processes[pid].energy_true_j += (
-                        dynamic * dt * weight / total_weight
-                    )
-        return package_power
-
-    # -- stable-stretch power preview ---------------------------------------------
-    #
-    # The two ``_power_preview_*`` methods are side-effect-free mirrors of
-    # the ``_integrate_power_*`` methods above: the event engine's
-    # busy-stretch fast-forward evaluates one tick's power analytically,
-    # then replays the returned per-tick increments n times.  Every
-    # arithmetic expression here MUST stay in lockstep with its integrate
-    # twin — same operations, same fold order — or bit parity breaks; the
-    # property suite in tests/test_eventsim.py enforces this.  Each
-    # returned accumulator op is ``(is_attr, container, key, increment)``:
-    # one per-tick float add to ``container[key]`` (or the attribute), in
-    # the exact order the tick engine performs them.
-
-    def _power_preview_reference(
-        self,
-        busy_fraction: dict[int, float],
-        app_busy_on_core: dict[int, dict[int, float]],
-        freqs: dict[int, float],
-        dt: float,
-        superlinear: float,
-    ) -> tuple[float, dict[int, float], dict[str, float], dict[str, float], list]:
-        """One tick of :meth:`_integrate_power_reference`, without mutating."""
-        acc_ops: list[tuple] = []
-        package_power = self.platform.uncore_power_w
-        core_util: dict[int, float] = {}
-        stat_busy: dict[str, float] = {}
-        stat_energy: dict[str, float] = {}
-        for core in self.platform.cores:
-            fractions = [
-                min(1.0, busy_fraction.get(t.thread_id, 0.0))
-                for t in core.hw_threads
-            ]
-            model = self._core_power_models[core.core_type.name]
-            power = model.power_fractional(fractions, freqs.get(core.core_id))
-            mix = app_busy_on_core.get(core.core_id)
-            intensity = 1.0
-            if mix:
-                total_busy = sum(mix.values())
-                if total_busy > 0:
-                    intensity = sum(
-                        used * self.processes[pid].model.power_intensity
-                        for pid, used in mix.items()
-                    ) / total_busy
-            idle = core.core_type.idle_power_w
-            power = idle + (power - idle) * intensity * superlinear
-            package_power += power
-            core_util[core.core_id] = sum(fractions) / len(fractions)
-            busy_sum = sum(fractions)
-            type_name = core.core_type.name
-            stat_busy[type_name] = stat_busy.get(type_name, 0.0) + busy_sum * dt
-            acc_ops.append(
-                (False, self.busy_time_by_type_s, type_name, busy_sum * dt)
-            )
-            energy = power * dt
-            stat_energy[type_name] = stat_energy.get(type_name, 0.0) + energy
-            acc_ops.append((False, self.energy_by_type_j, type_name, energy))
-            dynamic = power - core.core_type.idle_power_w
-            contributions = app_busy_on_core.get(core.core_id)
-            if dynamic > 0 and contributions:
-                weights = {
-                    pid: used * self.processes[pid].model.power_intensity
-                    for pid, used in contributions.items()
-                }
-                total_weight = sum(weights.values())
-                if total_weight > 0:
-                    for pid, weight in weights.items():
-                        acc_ops.append(
-                            (
-                                True,
-                                self.processes[pid],
-                                "energy_true_j",
-                                dynamic * dt * weight / total_weight,
-                            )
-                        )
-        return package_power, core_util, stat_busy, stat_energy, acc_ops
-
-    def _power_preview_vectorized(
-        self,
-        busy_fraction: dict[int, float],
-        app_busy_on_core: dict[int, dict[int, float]],
-        freqs: dict[int, float],
-        dt: float,
-        superlinear: float,
-    ) -> tuple[float, dict[int, float], dict[str, float], dict[str, float], list]:
-        """One tick of :meth:`_integrate_power_vectorized`, without mutating."""
-        busy = np.zeros(len(self._hw_grouped))
-        if busy_fraction:
-            for pos, hw_id in enumerate(self._hw_grouped):
-                frac = busy_fraction.get(hw_id)
-                if frac is not None:
-                    busy[pos] = frac if frac < 1.0 else 1.0
+        busy = np.zeros(len(self._hw_pos))
+        for hw_id, frac in busy_fraction.items():
+            busy[self._hw_pos[hw_id]] = frac if frac < 1.0 else 1.0
         fsum = np.add.reduceat(busy, self._group_starts)
         fmax = np.maximum.reduceat(busy, self._group_starts)
         freq = np.array([freqs[cid] for cid in self._core_ids], dtype=float)
@@ -895,37 +911,57 @@ class World:
         energy_by_type = np.bincount(
             self._core_type_idx, weights=power, minlength=n_types
         )
-        acc_ops: list[tuple] = []
-        stat_busy: dict[str, float] = {}
-        stat_energy: dict[str, float] = {}
-        for name, b, e in zip(self._type_names, busy_by_type, energy_by_type):
-            stat_busy[name] = stat_busy.get(name, 0.0) + b * dt
-            acc_ops.append((False, self.busy_time_by_type_s, name, b * dt))
-            stat_energy[name] = stat_energy.get(name, 0.0) + e * dt
-            acc_ops.append((False, self.energy_by_type_j, name, e * dt))
-        for core_id, contributions in app_busy_on_core.items():
-            dynamic = float(
-                power[self._core_row[core_id]]
-                - self._core_idle_w[self._core_row[core_id]]
+        for name, b, e in zip(
+            self._type_names, busy_by_type.tolist(), energy_by_type.tolist()
+        ):
+            stats.busy_time_by_type[name] = (
+                stats.busy_time_by_type.get(name, 0.0) + b * dt
             )
+            ops.append((self.busy_time_by_type_s, name, b * dt))
+            stats.energy_by_type_j[name] = (
+                stats.energy_by_type_j.get(name, 0.0) + e * dt
+            )
+            ops.append((self.energy_by_type_j, name, e * dt))
+        dynamic = power - self._core_idle_w
+        self._attribute_dynamic(
+            [
+                (float(dynamic[self._core_row[core_id]]), contributions)
+                for core_id, contributions in app_busy_on_core.items()
+            ],
+            dt,
+            ops,
+        )
+        return package_power, core_util
+
+    def _attribute_dynamic(
+        self,
+        cores: list[tuple[float, dict[int, float]]],
+        dt: float,
+        ops: list,
+    ) -> None:
+        """Ground-truth attribution of the cores' dynamic energy.
+
+        ``cores`` holds (dynamic power, per-pid busy fractions) per core
+        that ran application work.  Weighted by each application's actual
+        power intensity, which the γ-based attribution of Eq. 3 cannot
+        observe; used only to validate the attribution.
+        """
+        processes = self.processes
+        for dynamic, contributions in cores:
             if dynamic <= 0 or not contributions:
                 continue
             weights = {
-                pid: used * self.processes[pid].model.power_intensity
+                pid: used * processes[pid].model.power_intensity
                 for pid, used in contributions.items()
             }
             total_weight = sum(weights.values())
             if total_weight > 0:
                 for pid, weight in weights.items():
-                    acc_ops.append(
-                        (
-                            True,
-                            self.processes[pid],
-                            "energy_true_j",
-                            dynamic * dt * weight / total_weight,
-                        )
-                    )
-        return package_power, core_util, stat_busy, stat_energy, acc_ops
+                    ops.append((
+                        vars(processes[pid]),
+                        "energy_true_j",
+                        dynamic * dt * weight / total_weight,
+                    ))
 
     def _validate_placement(self, placement: dict[ThreadId, int]) -> None:
         for tid, hw_id in placement.items():

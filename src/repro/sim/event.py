@@ -3,21 +3,24 @@
 :class:`EventWorld` subclasses the fixed-tick :class:`~repro.sim.engine.World`
 with a heap of typed future events (thread wakeups, process arrivals,
 completions, quantum expiries, RT periods, monitor epochs, scheduled
-reallocations, fault injections).  Whenever nothing is runnable and no
-listener needs per-tick callbacks, the engine *leaps* directly to the next
-event's tick, integrating idle power analytically over the whole interval
-instead of stepping through it — idle sim time costs (almost) zero CPU.
+reallocations, fault injections).  Between two events it *leaps*: it plans
+one tick with the world's own pipeline (``World._plan_tick``) and commits
+that same plan for every tick up to the next event (``World._commit``).
+When nothing is runnable the plan is the idle tick; when something is,
+the stretch rules of :meth:`EventWorld._try_busy_leap` decide how many
+ticks the plan provably holds for.  A plan that holds for one tick only
+is handed to ``World.step``, so a refused leap costs no second tick.
 
 Bit-parity contract
 -------------------
 On tick-equivalent scenarios the event engine reproduces the tick engine
-**bit for bit**: same ``time_s`` (the leap replays the per-tick float
+**bit for bit**: same ``time_s`` (the commit replays the per-tick float
 additions), same sensor energy (noise draws are batched through
 ``default_rng``, which consumes the bitstream identically to scalar
-draws), same PELT trajectories (per-tick decay multiplies are replayed),
-same per-type energy accumulators (same accumulation order per engine
-mode), and identical process completion order.  The parity suite in
-``tests/test_eventsim.py`` asserts this across all four schedulers.
+draws), same PELT trajectories (per-tick multiplies are replayed), same
+accumulators (the plan's ops replay in the tick's order), and identical
+process completion order.  The parity suite in ``tests/test_eventsim.py``
+asserts this across all four schedulers.
 
 Listeners attach to ``world.on_event`` (fired at every advance boundary —
 every tick while stepping, once per leap) and MUST route timed work
@@ -36,18 +39,11 @@ import math
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from repro.obs import OBS
 from repro.platform.dvfs import Governor
 from repro.platform.topology import Platform
-from repro.sim.engine import TickStats, ThreadSlot, World
-from repro.sim.process import (
-    _PELT_HALFLIFE_S,
-    _decay_for,
-    SimThread,
-    ticks_until_work_expiry,
-)
+from repro.sim.engine import TickPlan, World
+from repro.sim.process import ticks_until_work_expiry
 
 
 class EventKind(Enum):
@@ -65,15 +61,15 @@ class EventKind(Enum):
     FAULT = "fault"            # fault-plan injection point
 
 
-#: A busy leap must replace at least this many ticks to pay for its
-#: pattern evaluation (which costs about one tick of work).
-_MIN_BUSY_LEAP_TICKS = 2
+#: A leap must replace at least this many ticks; shorter budgets step.
+_MIN_LEAP_TICKS = 2
 
-#: After a failed busy-leap probe, skip probing for this many ticks: the
-#: conditions that break a probe (an RM daemon holding a slot, a governor
-#: not yet at its fixpoint, an imminent completion) persist for a few
-#: ticks, and re-probing every tick would cost more than stepping.
-_BUSY_LEAP_BACKOFF_TICKS = 4
+
+def _refused(reason: str) -> bool:
+    """Count a refused busy leap under ``reason``; always ``False``."""
+    if OBS.enabled:
+        OBS.counter("sim.busy_leap_rejects", reason=reason).inc()
+    return False
 
 
 class EventWorld(World):
@@ -87,33 +83,6 @@ class EventWorld(World):
         self._heap: list[tuple[int, int, EventKind, Callable | None]] = []
         self._seq = itertools.count()
         self._wakeup_ticks: set[int] = set()
-        self._busy_backoff_until = 0
-        # Idle-tick package power per integration mode.  These replicate
-        # the exact accumulation order of the corresponding per-tick
-        # integration path, so leaps stay bit-identical:
-        #   vectorized: uncore + numpy pairwise sum over the core array
-        #   reference:  uncore, then += idle_w per core in core order
-        self._idle_pkg_vec = self.platform.uncore_power_w + float(
-            self._core_idle_w.sum()
-        )
-        pkg = self.platform.uncore_power_w
-        for core in self.platform.cores:
-            pkg += core.core_type.idle_power_w
-        self._idle_pkg_ref = pkg
-        # Per-tick per-type idle energy increments, again per mode.
-        idle_by_type = np.bincount(
-            self._core_type_idx,
-            weights=self._core_idle_w,
-            minlength=len(self._type_names),
-        )
-        self._idle_tick_energy_vec = [
-            (name, float(e) * self.tick_s)
-            for name, e in zip(self._type_names, idle_by_type)
-        ]
-        self._idle_tick_energy_ref = [
-            (core.core_type.name, core.core_type.idle_power_w * self.tick_s)
-            for core in self.platform.cores
-        ]
 
     # -- event heap --------------------------------------------------------------
 
@@ -168,51 +137,33 @@ class EventWorld(World):
 
     # -- advancing ---------------------------------------------------------------
 
-    def _has_runnable(self) -> bool:
-        # Fills the world's per-tick runnable snapshot, which the step
-        # that follows (if any) reuses — probing costs nothing extra.
-        return bool(self.runnable_pairs())
-
     def _advance_one(self, limit_tick: int) -> None:
         """Advance to the next boundary, never past ``limit_tick``.
 
         A legacy ``on_tick`` listener forces per-tick stepping.  Otherwise
-        the tick budget to the next heap event (or the limit) is leapt:
-        via the idle leap when nothing is runnable, via the busy-stretch
-        fast-forward when the runnable set is in a stable stretch.  A
-        failed busy probe steps normally and backs off for a few ticks.
+        one tick is planned and committed for the whole budget to the next
+        heap event (or the limit): at once when nothing is runnable, or
+        as far as the stretch rules allow.  A refused leap steps with the
+        plan it already has.
         """
-        if self.on_tick:
-            self.step()
-            self._drain_due()
-            return
-        runnable = self._has_runnable()
         next_tick = self._heap[0][0] if self._heap else None
         leap_to = limit_tick if next_tick is None else min(next_tick, limit_tick)
         budget = leap_to - self.tick_index
-        if runnable:
-            if (
-                budget >= _MIN_BUSY_LEAP_TICKS
-                and self.tick_index >= self._busy_backoff_until
-            ):
-                if self._try_busy_leap(budget):
-                    for callback in self.on_event:
-                        callback(self)
-                    self._drain_due()
-                    return
-                self._busy_backoff_until = (
-                    self.tick_index + _BUSY_LEAP_BACKOFF_TICKS
-                )
+        if self.on_tick or budget < _MIN_LEAP_TICKS:
             self.step()
-            self._drain_due()
-            return
-        if budget <= 1:
-            self.step()
-            self._drain_due()
-            return
-        self._leap(budget)
-        for callback in self.on_event:
-            callback(self)
+        else:
+            plan = self._plan_tick()
+            # runnable_pairs() is the snapshot the plan was built from.
+            if self.runnable_pairs():
+                leapt = self._try_busy_leap(plan, budget)
+            else:
+                self._leap(plan, budget)
+                leapt = True
+            if leapt:
+                for callback in self.on_event:
+                    callback(self)
+            else:
+                self.step(plan)
         self._drain_due()
 
     def run_for(self, seconds: float) -> None:
@@ -247,393 +198,83 @@ class EventWorld(World):
         ]
         return max(finish_times) if finish_times else self.time_s
 
-    # -- the leap ----------------------------------------------------------------
+    # -- leaps -------------------------------------------------------------------
 
-    def _leap(self, n: int) -> None:
-        """Replay ``n`` fully idle ticks in one analytic jump.
+    def _leap(self, plan: TickPlan, n: int) -> None:
+        """Commit the idle ``plan`` for ``n`` ticks.
 
-        Preconditions (enforced by :meth:`_advance_one`): no runnable
-        thread and no ``on_tick`` listener.  Everything a tick would have
-        mutated is replayed bit-identically: the cumulative clock, the
-        package sensor (batched noise draws), per-type energy
-        accumulators in each mode's accumulation order, PELT decay of
-        blocked threads, core-utilization state, the placement-signature
-        cache, and the obs tick/placement counters.
+        Sound without further checks: nothing is runnable (so nothing is
+        placed, and demand only changes at event boundaries), and idle
+        power does not depend on the core frequencies.
         """
-        dt = self.tick_s
-        obs_on = OBS.enabled
-        t0_wall = OBS.walltime() if obs_on else 0.0
-
-        # Placement-cache bookkeeping: with live-but-blocked processes the
-        # tick engine still consults the signature each tick (an empty
-        # runnable set hashes to an empty signature); with no processes it
-        # short-circuits before touching the cache.
-        hits = misses = 0
-        if self._running and self.vectorized:
-            sig = self.scheduler.placement_signature(self)
-            if sig is None:
-                misses = n
-            elif sig == self._placement_sig:
-                hits = n
-            else:
-                self._placement_sig = sig
-                self._placement_cache = {}
-                misses, hits = 1, n - 1
-
-        # PELT decay for every blocked thread still holding a nonzero
-        # average (the world's ``_decaying`` set — zero is an exact fixed
-        # point, so the rest can be skipped bit-identically): u *= decay,
-        # n times, with numpy broadcasting across threads (elementwise
-        # IEEE multiply is bit-identical to the scalar loop).  Once every
-        # tracked thread has decayed to exactly 0.0 the remaining
-        # iterations are no-ops and the loop exits early.
-        decaying = self._decaying
-        if decaying:
-            tids = list(decaying)
-            utils = np.array(
-                [decaying[tid].utilization for tid in tids], dtype=float
-            )
-            decay = 0.5 ** (dt / _PELT_HALFLIFE_S)
-            remaining = n
-            while remaining > 0:
-                chunk = min(remaining, 256)
-                for _ in range(chunk):
-                    utils *= decay
-                remaining -= chunk
-                if not utils.any():
-                    break
-            for tid, u in zip(tids, utils.tolist()):
-                decaying[tid].utilization = u
-                if u == 0.0:  # harplint: disable=HL003 -- underflow to the exact fixed point
-                    del decaying[tid]
-
-        # Idle power: constant across the leap and freq-independent (zero
-        # busy fractions short-circuit the DVFS scale), so the package
-        # sensor integrates n equal deltas and the per-type accumulators
-        # replay the per-tick adds in each mode's order.
-        if self.vectorized:
-            package_power = self._idle_pkg_vec
-            tick_energy = self._idle_tick_energy_vec
-        else:
-            package_power = self._idle_pkg_ref
-            tick_energy = self._idle_tick_energy_ref
-        acc = self.energy_by_type_j
-        for _ in range(n):
-            for name, energy in tick_energy:
-                acc[name] += energy
-        self.package_sensor.accumulate_constant(package_power, dt, n)
-        # busy_time accumulators gain exactly +0.0 per idle tick — a
-        # bitwise no-op — so they are left untouched.
-        self._core_util = {core_id: 0.0 for core_id in self._core_ids}
-
-        # The cumulative clock replays every per-tick addition (n float
-        # adds), capturing the start time of the final tick for stats.
-        t = self.time_s
-        for _ in range(n - 1):
-            t += dt
-        stats = TickStats(time_s=t)
-        stats.package_power_w = package_power
-        for name in self._type_names:
-            stats.busy_time_by_type[name] = 0.0
-        for name, energy in tick_energy:
-            stats.energy_by_type_j[name] = (
-                stats.energy_by_type_j.get(name, 0.0) + energy
-            )
-        self.last_stats = stats
-        self.time_s = t + dt
-        self.tick_index += n
-
-        if obs_on:
-            handles = self._obs_hot()
-            handles[1].inc(n)
-            handles[2].observe(OBS.walltime() - t0_wall)
-            if hits:
-                handles[3].inc(hits)
-            if misses:
-                handles[4].inc(misses)
+        self._commit(plan, n)
+        if OBS.enabled:
             OBS.counter("sim.leaps").inc()
             OBS.counter("sim.leap_ticks").inc(n)
 
-    # -- the busy-stretch fast-forward -------------------------------------------
-
-    def _try_busy_leap(self, budget_ticks: int) -> bool:
-        """Fast-forward a *stable busy stretch* of up to ``budget_ticks``.
+    def _try_busy_leap(self, plan: TickPlan, budget_ticks: int) -> bool:
+        """Commit ``plan`` over a *stable busy stretch* of up to ``budget_ticks``.
 
         A stable stretch is an interval over which the runnable set, the
         thread→hardware placement, and the core frequencies are provably
-        unchanged, so one tick's scheduler/model/power evaluation (the
-        *pattern*) holds for every tick in it.  The stretch ends at the
-        earliest of: the caller's budget (next heap event / horizon), the
-        scheduler's ``next_preemption_tick``, and each placed process's
-        remaining-work or model phase-boundary expiry (with a guard
-        margin against float drift).
+        unchanged, so the planned tick holds for every tick in it.  The
+        stretch rules, each counted in ``sim.busy_leap_rejects`` when it
+        refuses:
 
-        Preconditions (enforced by :meth:`_advance_one`): something is
-        runnable, no ``on_tick`` listener, budget ≥ 2.  Returns ``False``
-        — without mutating anything — when no leapable stretch exists:
-        the scheduler opted out of signatures (EAS), a placed model is
-        stateful (the RM daemon), the governor's frequencies are not a
-        fixpoint of the stretch utilization, or a work boundary is too
-        close.
+        * ``no_signature`` — the scheduler has no placement signature
+          (EAS), so nothing proves the placement stays put;
+        * ``preemption`` — the scheduler's ``next_preemption_tick`` is
+          too close;
+        * ``stateful_model`` — a placed model's ``perf`` changes its own
+          state every call (``steady_work_horizon`` is 0, the RM daemon);
+        * ``work_boundary`` — a process finishes this tick, or its
+          remaining work or next phase boundary is too close (with a
+          guard margin against float drift);
+        * ``governor`` — the stretch utilization does not reproduce the
+          stretch frequencies.
 
-        Everything the replaced ticks would have mutated is replayed
-        bit-identically: per-tick float adds to every touched accumulator
-        (work, CPU time, perf counters, per-type energy, ground-truth
-        attribution) grouped into elementwise array adds, PELT
-        accumulate/decay as vectorized per-tick updates, batched sensor
-        noise draws, the cumulative clock, and the placement-cache and
-        obs bookkeeping.
+        Returns ``False`` without changing anything when a rule refuses;
+        the caller then steps with the same plan.
         """
-        dt = self.tick_s
-        obs_on = OBS.enabled
-        t0_wall = OBS.walltime() if obs_on else 0.0
-        sched = self.scheduler
-        sig = sched.placement_signature(self)
-        if sig is None:
-            return False
+        if plan.sig is None:
+            return _refused("no_signature")
         n = budget_ticks
-        preempt_tick = sched.next_preemption_tick(self)
+        preempt_tick = self.scheduler.next_preemption_tick(self)
         if preempt_tick is not None:
             n = min(n, preempt_tick - self.tick_index)
-            if n < _MIN_BUSY_LEAP_TICKS:
-                return False
-
-        # The stretch placement.  Cache bookkeeping (signature update, obs
-        # hit/miss counters) is deferred until the leap commits, so a
-        # bailed probe leaves the world exactly as step() expects it.
-        pattern_hit = self.vectorized and sig == self._placement_sig
-        if pattern_hit:
-            placement = self._placement_cache
-        else:
-            placement = sched.place(self)
-            self._validate_placement(placement)
-        if not placement:
-            return False
-
-        # -- the pattern: one tick of step()'s work, mirrored expression
-        # for expression (same fold orders), with no mutation ----------------
-        threads_on_hw: dict[int, list] = {}
-        for tid, hw_id in placement.items():
-            threads_on_hw.setdefault(hw_id, []).append(tid)
-        proc_demand = self._proc_demand
-        demand: dict = {}
-        for tid in placement:
-            demand[tid] = proc_demand[tid.pid]
-        shares: dict = {}
-        for hw_id, tids in threads_on_hw.items():
-            total = sum(demand[tid] for tid in tids)
-            if total <= 1.0:
-                for tid in tids:
-                    shares[tid] = demand[tid] if demand[tid] > 0 else 0.0
-            else:
-                for tid in tids:
-                    shares[tid] = demand[tid] / total
-        busy_hw_per_core: dict[int, int] = {}
-        for hw_id in threads_on_hw:
-            core_id = self._hw_by_id[hw_id].core_id
-            busy_hw_per_core[core_id] = busy_hw_per_core.get(core_id, 0) + 1
-        freqs = self.governor.select_all(self._core_util)
-
-        # Per-tick accumulator increments, in step()'s execution order.
-        # Each op is (is_attr, container, key, increment).
-        ops: list[tuple] = []
-        pelt_threads: list[SimThread] = []
-        pelt_gains: list[float] = []
-        decay = _decay_for(dt)
-        gain_scale = 1.0 - decay
-        busy_fraction: dict[int, float] = {}
-        app_busy_on_core: dict[int, dict[int, float]] = {}
+            if n < _MIN_LEAP_TICKS:
+                return _refused("preemption")
+        if plan.finished:
+            return _refused("work_boundary")
         # (process, work_before, work_budget, rate_dt) overrun guards.
         guards: list[tuple] = []
-        placed_pids = {tid.pid for tid in placement}
-        for pid in sorted(placed_pids):
-            process = self.processes[pid]
-            slots = []
-            slot_threads: list[SimThread] = []
-            for thread in process.active_threads:
-                hw_id = placement.get(thread.tid)
-                if hw_id is None:
-                    continue
-                hw = self._hw_by_id[hw_id]
-                share = shares[thread.tid]
-                siblings = busy_hw_per_core[hw.core_id]
-                freq = freqs.get(hw.core_id)
-                speed = hw.core_type.thread_speed(siblings, freq) * share
-                slots.append(
-                    ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
-                )
-                slot_threads.append(thread)
-            if not slots:
-                continue
-            # A stateful model (horizon 0) must be screened *before* its
-            # perf() is called — the call itself would mutate it.
+        for process, rate_dt in plan.progress:
             horizon = process.model.steady_work_horizon(process)
             if horizon is not None and horizon <= 0.0:
-                return False
-            perf = process.model.perf(slots, process)
-            rate_dt = perf.rate * dt
-            if perf.rate > 0:
+                return _refused("stateful_model")
+            if rate_dt > 0:
                 work_budget = process.remaining_work()
                 if horizon is not None and horizon < work_budget:
                     work_budget = horizon
                 k = ticks_until_work_expiry(work_budget, rate_dt)
                 if k is not None:
-                    if k < n:
-                        n = k
-                    if n < _MIN_BUSY_LEAP_TICKS:
-                        return False
+                    n = min(n, k)
+                    if n < _MIN_LEAP_TICKS:
+                        return _refused("work_boundary")
                     guards.append((process, process.work_done, work_budget, rate_dt))
-            ops.append((True, process, "work_done", rate_dt))
-            cpu_time = 0.0
-            for slot, thread, activity in zip(slots, slot_threads, perf.activities):
-                used = activity * slot.share
-                busy_fraction[slot.hw_thread_id] = (
-                    busy_fraction.get(slot.hw_thread_id, 0.0) + used
-                )
-                app_busy_on_core.setdefault(slot.core_id, {})
-                app_busy_on_core[slot.core_id][pid] = (
-                    app_busy_on_core[slot.core_id].get(pid, 0.0) + used
-                )
-                pelt_threads.append(thread)
-                pelt_gains.append((activity * slot.share) * gain_scale)
-                slot_time = used * dt
-                cpu_time += slot_time
-                ops.append(
-                    (False, process.cpu_time_by_type, slot.core_type, slot_time)
-                )
-            ops.append((False, self.perf._instructions, pid, perf.ips * dt))
-            ops.append((False, self.perf._cpu_time, pid, cpu_time))
-
-        load_ratio = (
-            sum(busy_fraction.values()) / self._n_hw_threads
-            if busy_fraction
-            else 0.0
-        )
-        superlinear = 0.92 + 0.16 * load_ratio
-        if self.vectorized:
-            preview = self._power_preview_vectorized(
-                busy_fraction, app_busy_on_core, freqs, dt, superlinear
-            )
-        else:
-            preview = self._power_preview_reference(
-                busy_fraction, app_busy_on_core, freqs, dt, superlinear
-            )
-        package_power, core_util, stat_busy, stat_energy, acc_ops = preview
-        # Frequency stability: the stretch utilization must reproduce the
-        # stretch frequencies, else tick 2 would run at different clocks.
         # Exact dict equality is intended — any moved frequency breaks
-        # bit parity.
-        if self.governor.select_all(core_util) != freqs:
-            return False
-        ops.extend(acc_ops)
+        # bit parity on the second tick of the stretch.
+        if self.governor.select_all(plan.core_util) != plan.freqs:
+            return _refused("governor")
 
-        # -- commit: replay n identical ticks ---------------------------------
-        # Group the per-tick ops by target accumulator, preserving order.
-        # Multiple same-tick adds to one accumulator (one per slot, one
-        # per core...) must not be pre-summed — float addition does not
-        # re-associate — so occurrence r of each accumulator goes into
-        # round r, and each round is one elementwise array add per tick
-        # (IEEE-identical to the scalar sequence).
-        acc_index: dict[tuple[int, object], int] = {}
-        acc_meta: list[tuple] = []
-        base_vals: list[float] = []
-        seen: dict[tuple[int, object], int] = {}
-        rounds: list[tuple[list[int], list[float]]] = []
-        for is_attr, container, key, inc in ops:
-            acc_key = (id(container), key)
-            slot_idx = acc_index.get(acc_key)
-            if slot_idx is None:
-                slot_idx = len(acc_meta)
-                acc_index[acc_key] = slot_idx
-                acc_meta.append((is_attr, container, key))
-                if is_attr:
-                    base_vals.append(getattr(container, key))
-                else:
-                    base_vals.append(container.get(key, 0.0))
-            r = seen.get(acc_key, 0)
-            seen[acc_key] = r + 1
-            if r >= len(rounds):
-                rounds.append(([], []))
-            rounds[r][0].append(slot_idx)
-            rounds[r][1].append(inc)
-        vals = np.array(base_vals, dtype=float)
-        round_arrays = [
-            (np.array(idx, dtype=int), np.array(inc, dtype=float))
-            for idx, inc in rounds
-        ]
-        # PELT: placed threads accumulate (u*decay + gain), everything
-        # else in the decaying set just decays — both as elementwise
-        # array updates replaying the scalar per-tick arithmetic.
-        decaying = self._decaying
-        placed_arr = np.array([t.utilization for t in pelt_threads], dtype=float)
-        gains_arr = np.array(pelt_gains, dtype=float)
-        idle_tids = [tid for tid in decaying if tid not in placement]
-        idle_arr = (
-            np.array([decaying[tid].utilization for tid in idle_tids], dtype=float)
-            if idle_tids
-            else None
-        )
-        for _ in range(n):
-            for idx, inc in round_arrays:
-                vals[idx] += inc
-            placed_arr *= decay
-            placed_arr += gains_arr
-            if idle_arr is not None:
-                idle_arr *= decay
-
-        for (is_attr, container, key), value in zip(acc_meta, vals.tolist()):
-            if is_attr:
-                setattr(container, key, value)
-            else:
-                container[key] = value
-        for thread, u in zip(pelt_threads, placed_arr.tolist()):
-            thread.utilization = u
-            if u != 0.0:  # harplint: disable=HL003 -- exact fixed point, not a tolerance check
-                decaying[thread.tid] = thread
-            else:
-                decaying.pop(thread.tid, None)
-        if idle_arr is not None:
-            for tid, u in zip(idle_tids, idle_arr.tolist()):
-                decaying[tid].utilization = u
-                if u == 0.0:  # harplint: disable=HL003 -- underflow to the exact fixed point
-                    del decaying[tid]
-
+        self._commit(plan, n)
         for process, work_before, work_budget, rate_dt in guards:
             if process.work_done - work_before >= work_budget - 0.5 * rate_dt:
                 raise RuntimeError(
                     "busy leap overran a work boundary for pid "
                     f"{process.pid} — expiry prediction bug"
                 )
-
-        self.package_sensor.accumulate_constant(package_power, dt, n)
-        # The cumulative clock replays every per-tick addition, capturing
-        # the start time of the final tick for stats.
-        t = self.time_s
-        for _ in range(n - 1):
-            t += dt
-        stats = TickStats(time_s=t)
-        stats.package_power_w = package_power
-        stats.busy_time_by_type = stat_busy
-        stats.energy_by_type_j = stat_energy
-        self.last_stats = stats
-        self.time_s = t + dt
-        self.tick_index += n
-        self._core_util = core_util
-        if self.vectorized and not pattern_hit:
-            self._placement_sig = sig
-            self._placement_cache = placement
-
-        if obs_on:
-            handles = self._obs_hot()
-            handles[1].inc(n)
-            handles[2].observe(OBS.walltime() - t0_wall)
-            if self.vectorized:
-                if pattern_hit:
-                    handles[3].inc(n)
-                else:
-                    handles[4].inc()
-                    if n > 1:
-                        handles[3].inc(n - 1)
+        if OBS.enabled:
             OBS.counter("sim.busy_leaps").inc()
             OBS.counter("sim.busy_leap_ticks").inc(n)
         return True

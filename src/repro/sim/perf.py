@@ -25,10 +25,23 @@ class PerfCounters:
 
     def accumulate(self, pid: int, ips: float, dt_s: float, cpu_time_s: float) -> None:
         """Advance counters: ``ips`` instructions/s over ``dt_s`` seconds."""
+        for counters, key, inc in self.increments(pid, ips, dt_s, cpu_time_s):
+            counters[key] = counters.get(key, 0.0) + inc
+
+    def increments(
+        self, pid: int, ips: float, dt_s: float, cpu_time_s: float
+    ) -> tuple[tuple[dict, int, float], tuple[dict, int, float]]:
+        """The two counter adds of :meth:`accumulate`, checked, not applied.
+
+        Returned as ``(counters, pid, increment)`` ops, so a caller can
+        apply them once or replay them over many ticks.
+        """
         if dt_s < 0 or ips < 0 or cpu_time_s < 0:
             raise ValueError("negative perf accumulation")
-        self._instructions[pid] = self._instructions.get(pid, 0.0) + ips * dt_s
-        self._cpu_time[pid] = self._cpu_time.get(pid, 0.0) + cpu_time_s
+        return (
+            (self._instructions, pid, ips * dt_s),
+            (self._cpu_time, pid, cpu_time_s),
+        )
 
     def read_instructions(self, pid: int) -> float:
         """Cumulative instruction count for a process (exact, like perf)."""

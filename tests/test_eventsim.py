@@ -208,6 +208,20 @@ class TestObsBitIdentity:
             OBS.reset()
         assert observed == baseline
 
+    def test_obs_on_off_dense_event(self) -> None:
+        # The same contract where the busy-stretch fast-forward runs: a
+        # dense event run that leaps stays bitwise with obs on.
+        def run() -> dict:
+            world, exit_order = _build_world(0, "event")
+            _spawn_dense(world)
+            world.run_for(2.0)
+            return _fingerprint(world, exit_order)
+
+        baseline = run()
+        observed = {}
+        assert _busy_leap_count(lambda: observed.update(run())) > 0
+        assert observed == baseline
+
     def test_obs_handles_survive_registry_reset(self) -> None:
         world, _ = _build_world(0, "tick")
         _spawn_mix(world, 0)
@@ -527,15 +541,6 @@ class TestBusyStretchFastForward:
         assert fp == tick
         assert leaps > 0
 
-    def test_backoff_after_failed_probe(self) -> None:
-        # EAS never leaps; the backoff keeps the probe from re-running
-        # every tick in such regimes.
-        platform = make_platform("intel")
-        world = make_world(platform, EasScheduler(), engine="event", seed=0)
-        _spawn_dense(world, n=1)
-        world.run_for(0.1)
-        assert world._busy_backoff_until > 0
-
 
 class TestExpiryPredictionApi:
     """Unit contracts of the new expiry sources."""
@@ -713,3 +718,90 @@ class TestRunUntilCap:
             world.spawn(model, nthreads=2)
             spans.append(world.run_until_all_finished(max_seconds=30.0))
         assert spans[0] == spans[1]
+
+
+def _rejects(run) -> dict[str, float]:
+    """Run a callable under obs; return the busy-leap refusals by reason."""
+    OBS.reset()
+    OBS.enable()
+    try:
+        run()
+        return {
+            reason: OBS.counter("sim.busy_leap_rejects", reason=reason).value
+            for reason in (
+                "no_signature", "preemption", "stateful_model",
+                "work_boundary", "governor",
+            )
+        }
+    finally:
+        OBS.disable()
+        OBS.reset()
+
+
+class TestBusyLeapRejects:
+    """Every refused busy leap is counted under the rule that refused it."""
+
+    def _dense(
+        self, scheduler, governor_cls=None, platform_name="intel", work=500.0
+    ):
+        platform = make_platform(platform_name)
+        governor = None if governor_cls is None else governor_cls(platform)
+        world = make_world(
+            platform, scheduler, engine="event", governor=governor, seed=7
+        )
+        _spawn_dense(world, work=work)
+        return world
+
+    def test_no_signature(self) -> None:
+        world = self._dense(EasScheduler())
+        assert _rejects(lambda: world.run_for(0.5))["no_signature"] > 0
+
+    def test_preemption(self) -> None:
+        world = self._dense(_QuantumScheduler(quantum_ticks=1))
+        assert _rejects(lambda: world.run_for(0.5))["preemption"] > 0
+
+    def test_stateful_model(self) -> None:
+        # The RM daemon burns its pending busy time in perf(): while it
+        # holds a slot, nothing leaps.
+        def run() -> None:
+            world, _ = _build_world(4, "event")
+            manager = HarpManager(
+                world, config=ManagerConfig(epoch_window_s=0.02)
+            )
+            for app in ("ep.C", "is.C"):
+                model = replace(resolve_model(app), total_work=300.0)
+                world.spawn(model, nthreads=2, managed=True)
+            world.run_for(2.0)
+            manager.shutdown()
+
+        assert _rejects(run)["stateful_model"] > 0
+
+    def test_work_boundary(self) -> None:
+        world = self._dense(CfsScheduler(), work=0.3)
+        assert _rejects(lambda: world.run_for(1.0))["work_boundary"] > 0
+
+    def test_governor(self) -> None:
+        from repro.platform.dvfs import SchedutilGovernor
+
+        world = self._dense(
+            CfsScheduler(), governor_cls=SchedutilGovernor, platform_name="odroid"
+        )
+        assert _rejects(lambda: world.run_for(1.0))["governor"] > 0
+
+
+class TestPerfCounterValidation:
+    """Negative perf increments raise on both engines, leaps included."""
+
+    @pytest.mark.parametrize("engine", ["tick", "event"])
+    def test_negative_ips_raises_inside_dense_stretch(self, engine: str) -> None:
+        world, _ = _build_world(0, engine)
+        _spawn_dense(world)
+        world.run_for(0.3)
+        bad = replace(resolve_model("ep.C"), total_work=500.0, ips_per_work=-1e9)
+        world.spawn(bad, nthreads=1)
+        with pytest.raises(ValueError, match="negative perf accumulation"):
+            world.run_for(1.0)
+        # The plan is checked before it is committed: the bad tick leaves
+        # the clock where it was.
+        assert world.tick_index == 30
+

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocator import AllocationRequest, LagrangianAllocator
@@ -105,18 +105,22 @@ def _small_instance(draw):
 
 class TestOptimalityGap:
     @given(_small_instance())
+    # Two points equal in ERV and utility that differ only in power: a
+    # selection mapped back by value picks the dearer twin (gap 1.0).
+    @example([_request(0, [_point(1.0, 2.0, E=1), _point(1.0, 1.0, E=1)])])
     @settings(max_examples=40, deadline=None)
     def test_lagrangian_close_to_optimal_on_small_instances(self, requests):
         allocator = LagrangianAllocator(_LAYOUT.platform, _LAYOUT)
         result = allocator.allocate(requests)
         if not result.feasible:
             return  # exact solver has no answer either (co-allocation)
+        # The allocator selects one of the request's own point objects, so
+        # the selection maps back by identity.
         approx_choice = []
         for req in requests:
             chosen = result.selections[req.pid].point
             approx_choice.append(
-                next(i for i, p in enumerate(req.points) if p.erv == chosen.erv
-                     and p.utility == chosen.utility)
+                next(i for i, p in enumerate(req.points) if p is chosen)
             )
         gap = optimality_gap(requests, _CAPACITY, approx_choice)
         if gap is not None:

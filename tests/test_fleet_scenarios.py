@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
+from repro.obs import OBS
 from repro.scenario import (
     PROFILES,
     ScenarioSpec,
@@ -153,15 +154,29 @@ class TestSessionModel:
 
 
 class TestRunTrace:
-    def test_engine_parity(self) -> None:
-        spec = _small_spec()
+    @pytest.mark.parametrize("policy", ["none", "harp"])
+    def test_engine_parity(self, policy: str) -> None:
+        spec = _small_spec(policy=policy)
         tick = run_trace(spec, seed=2, engine="tick")
-        event = run_trace(spec, seed=2, engine="event")
+        OBS.reset()
+        OBS.enable()
+        try:
+            event = run_trace(spec, seed=2, engine="event")
+            leaps = (
+                OBS.counter("sim.leaps").value
+                + OBS.counter("sim.busy_leaps").value
+            )
+        finally:
+            OBS.disable()
+            OBS.reset()
         for result in (tick, event):
             result.pop("wall_s")
             result.pop("engine")
         assert tick == event
         assert tick["spawned"] > 0
+        # The event engine must actually have leapt, or the parity is
+        # vacuous.
+        assert leaps > 0
 
     def test_harp_policy_runs_managed(self) -> None:
         spec = _small_spec(policy="harp", scheduler="pinned")
