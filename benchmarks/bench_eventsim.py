@@ -12,6 +12,11 @@ regimes the event engine was built for:
   are integrated analytically, so the event engine must win ≥ 5× here
   too (full) / ≥ 2× (smoke).  Run over ≥ 3 seeds; the gate applies to
   the *minimum* speedup, the median is reported alongside.
+* **steady-64 under HARP** — the same profile with ``policy="harp"``:
+  a :class:`HarpManager` explores and allocates for every session, so
+  the control plane shares the host time with the substrate.  Tick vs
+  event over 3 seeds, min and median reported, parity asserted; no
+  speedup gate (managed leaps are capped at one monitor interval).
 * **bursty-1k** — MMPP arrivals with heavy-tailed, mostly-thinking
   interactive sessions sustaining ≥ 1k concurrently live apps for a
   simulated fleet-hour.  Run through the sweep driver over ≥ 3 seeds
@@ -80,17 +85,20 @@ def _strip_wall(result: dict) -> dict:
     }
 
 
-def bench_engine_ratio(profile: str, duration_s: float, seed: int = 0) -> dict:
+def bench_engine_ratio(
+    profile: str, duration_s: float, seed: int = 0, policy: str = "none"
+) -> dict:
     """Run one profile under both engines; verify parity, report speedup."""
-    spec = replace(PROFILES[profile], duration_s=duration_s)
+    spec = replace(PROFILES[profile], duration_s=duration_s, policy=policy)
     event = run_trace(spec, seed=seed, engine="event")
     tick = run_trace(spec, seed=seed, engine="tick")
     if _strip_wall(event) != _strip_wall(tick):
         raise AssertionError(
-            f"{profile}: tick/event summaries diverged — parity bug"
+            f"{profile} ({policy}): tick/event summaries diverged — parity bug"
         )
     return {
         "profile": profile,
+        "policy": policy,
         "duration_s": duration_s,
         "seed": seed,
         "ticks": event["ticks"],
@@ -105,7 +113,7 @@ def bench_engine_ratio(profile: str, duration_s: float, seed: int = 0) -> dict:
 
 
 def bench_engine_ratio_seeds(
-    profile: str, duration_s: float, seeds: list[int]
+    profile: str, duration_s: float, seeds: list[int], policy: str = "none"
 ) -> dict:
     """Tick-vs-event ratio over several seeds; min and median speedups.
 
@@ -113,10 +121,14 @@ def bench_engine_ratio_seeds(
     regression, not noise to average away — while the median is the
     headline number.
     """
-    runs = [bench_engine_ratio(profile, duration_s, seed=s) for s in seeds]
+    runs = [
+        bench_engine_ratio(profile, duration_s, seed=s, policy=policy)
+        for s in seeds
+    ]
     speedups = [r["speedup"] for r in runs]
     return {
         "profile": profile,
+        "policy": policy,
         "duration_s": duration_s,
         "seeds": seeds,
         "speedups": speedups,
@@ -185,11 +197,17 @@ def run(smoke: bool = False) -> dict:
     if smoke:
         idle = bench_engine_ratio("idle-heavy", duration_s=120.0)
         steady = bench_engine_ratio_seeds("steady-64", 20.0, seeds=[0])
+        managed = bench_engine_ratio_seeds(
+            "steady-64", 5.0, seeds=[0, 1, 2], policy="harp"
+        )
         fleet = bench_fleet_hour(duration_s=120.0, seeds=[0])
         steady_10k = None
     else:
         idle = bench_engine_ratio("idle-heavy", duration_s=600.0)
         steady = bench_engine_ratio_seeds("steady-64", 120.0, seeds=[0, 1, 2])
+        managed = bench_engine_ratio_seeds(
+            "steady-64", 30.0, seeds=[0, 1, 2], policy="harp"
+        )
         fleet = bench_fleet_hour(duration_s=3600.0, seeds=[0, 1, 2])
         steady_10k = bench_steady_10k(duration_s=3600.0)
     report = {
@@ -197,6 +215,7 @@ def run(smoke: bool = False) -> dict:
         "smoke": smoke,
         "idle_heavy": idle,
         "steady_64": steady,
+        "steady_64_harp": managed,
         "fleet_hour": fleet,
     }
     if steady_10k is not None:

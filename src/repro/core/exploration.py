@@ -146,9 +146,17 @@ class ExplorationPlanner:
             # Nothing measured yet: start from the largest allocation, the
             # most informative corner of the space.
             return max(candidates, key=lambda c: (c.total_threads(), c.counts))
-        def min_dist(candidate: ExtendedResourceVector) -> float:
-            return min(candidate.distance(m) for m in measured)
-        return max(candidates, key=lambda c: (min_dist(c), c.counts))
+        # Each candidate's distance to its nearest measured point, for all
+        # pairs in one broadcast.  ERV counts are small integers, so the
+        # squared distances are exact and sqrt rounds them exactly as
+        # ``ExtendedResourceVector.distance`` does.
+        cand = np.array([c.counts for c in candidates], dtype=float)
+        seen = np.array([m.counts for m in measured], dtype=float)
+        diff = cand[:, None, :] - seen[None, :, :]
+        min_dist = np.sqrt((diff * diff).sum(axis=2).min(axis=1)).tolist()
+        return max(
+            zip(min_dist, candidates), key=lambda dc: (dc[0], dc[1].counts)
+        )[1]
 
     def _refinement_point(
         self,

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.allocator import (
     AllocationRequest,
@@ -223,13 +226,22 @@ class HarpManager:
         self.allocator = allocator or LagrangianAllocator(
             world.platform, self.layout
         )
+        self._all_ervs = self.layout.enumerate_all()
+        # Exploration candidates per region capacity vector: (candidates
+        # in _all_ervs order, the same as a frozenset).  The counts-to-
+        # cores matrix behind it is built on the first miss, so managers
+        # that never explore pay nothing for it.
+        self._candidates_by_cap: dict[
+            tuple[int, ...],
+            tuple[list[ExtendedResourceVector], frozenset[ExtendedResourceVector]],
+        ] = {}
+        self._erv_cores: np.ndarray | None = None
         # On small platforms the whole coarse-grained space may hold fewer
         # configurations than the stable threshold; exploration is done
         # once everything reachable has been measured.
-        space_size = len(self.layout.enumerate_all())
         self.planner = ExplorationPlanner(
             self.layout,
-            stable_after=min(self.config.stable_after, space_size),
+            stable_after=min(self.config.stable_after, len(self._all_ervs)),
         )
         self.monitor = SystemMonitor(
             world, attributor or EnergyAttributor(world.platform)
@@ -244,7 +256,6 @@ class HarpManager:
         # (world seconds), for the §6.5 learning analysis.
         self.stable_at_s: dict[str, float] = {}
         self.allocation_epochs = 0
-        self._all_ervs = self.layout.enumerate_all()
         self._next_sample_s = 0.0
         # Batched-epoch state: when the pending epoch is due (None = no
         # epoch pending) and how many triggers folded into it so far.
@@ -379,7 +390,13 @@ class HarpManager:
             self.flush()
         if now + 1e-9 >= self._next_sample_s:
             self._next_sample_s = now + self.config.measure_interval_s
-            self._sample_all()
+            if not OBS.enabled:
+                self._sample_all()
+            else:
+                with OBS.span(
+                    "rm.sample", track="rm", sessions=len(self.sessions)
+                ):
+                    self._sample_all()
         self._check_leases(now)
         self._wake_deadlines()
 
@@ -643,15 +660,14 @@ class HarpManager:
                 self.world.platform.core_types,
             )
         ]
-        type_names = [ct.name for ct in self.world.platform.core_types]
-
         explorers = [
             s
             for s in sessions
             if self.config.explore
             and self.planner.stage_of(s.table) is not MaturityStage.STABLE
         ]
-        stable = [s for s in sessions if s not in explorers]
+        explorer_pids = {s.pid for s in explorers}
+        stable = [s for s in sessions if s.pid not in explorer_pids]
 
         requests: list[AllocationRequest] = []
         fair_erv = self._fair_share_erv(len(sessions))
@@ -710,11 +726,30 @@ class HarpManager:
                 )
             result = self._fair_share_result(sessions, reserve)
 
-        # Stage 2: exploration within assigned bounds plus the free cores
-        # (excluding any background reservation).
+        if not OBS.enabled:
+            self._explore(sessions, explorers, result, reserve)
+        else:
+            with OBS.span(
+                "rm.explore", track="rm",
+                epoch=self.allocation_epochs, explorers=len(explorers),
+            ):
+                self._explore(sessions, explorers, result, reserve)
+        return result
+
+    def _explore(
+        self,
+        sessions: list[AppSession],
+        explorers: list[AppSession],
+        result: AllocationResult,
+        reserve: dict[str, int],
+    ) -> None:
+        """Stage 2: activate the stable sessions' selections and move each
+        explorer to its next point, within its assigned cores plus a cut of
+        the free ones (excluding any background reservation)."""
         assigned_cores = self._assigned_core_ids(result)
         free_by_type = {}
-        for name in type_names:
+        for ct in self.world.platform.core_types:
+            name = ct.name
             pool = self.world.platform.cores_of_type(name)
             hold_back = reserve.get(name, 0)
             if hold_back:
@@ -723,13 +758,13 @@ class HarpManager:
                 c for c in pool if c.core_id not in assigned_cores
             ]
         explorer_regions = self._split_free_cores(result, explorers, free_by_type)
-
+        explorer_pids = {s.pid for s in explorers}
         for session in sessions:
             if session.pid not in self.sessions:
                 continue  # reaped earlier in this epoch (push failure)
             selection = result.selections[session.pid]
             session.co_allocated = selection.co_allocated
-            if session in explorers:
+            if session.pid in explorer_pids:
                 self._advance_exploration(session, explorer_regions[session.pid])
             else:
                 self._activate(
@@ -738,7 +773,6 @@ class HarpManager:
                     selection.point.knobs,
                     selection.hw_threads,
                 )
-        return result
 
     # -- helpers ------------------------------------------------------------------------
 
@@ -837,24 +871,41 @@ class HarpManager:
             capacity[core.core_type.name] = capacity.get(core.core_type.name, 0) + 1
         return capacity
 
+    def _candidates_within(
+        self, capacity_vec: list[int]
+    ) -> tuple[list[ExtendedResourceVector], frozenset[ExtendedResourceVector]]:
+        """Every ERV whose per-type core counts fit ``capacity_vec``.
+
+        The answer depends only on the capacity vector, of which there are
+        at most (cores of each type + 1) multiplied out, so it is computed
+        once per vector and looked up afterwards.
+        """
+        key = tuple(capacity_vec)
+        entry = self._candidates_by_cap.get(key)
+        if entry is None:
+            if self._erv_cores is None:
+                counts = np.array([erv.counts for erv in self._all_ervs])
+                self._erv_cores = counts @ self.layout.type_projection()
+            mask = (self._erv_cores <= np.array(key)).all(axis=1)
+            candidates = list(itertools.compress(self._all_ervs, mask))
+            entry = (candidates, frozenset(candidates))
+            self._candidates_by_cap[key] = entry
+        return entry
+
     def _advance_exploration(self, session: AppSession, region: list) -> None:
         """Pick (or keep) the exploration point and place it in the region."""
         region_cap = self._region_capacity(region)
         capacity_vec = [
             region_cap.get(ct.name, 0) for ct in self.world.platform.core_types
         ]
-        candidates = [
-            erv
-            for erv in self._all_ervs
-            if all(u <= c for u, c in zip(erv.core_vector(), capacity_vec))
-        ]
+        candidates, candidate_set = self._candidates_within(capacity_vec)
         if not candidates:
             session.current_erv = None
             return
         keep_current = (
             session.current_erv is not None
             and session.samples_at_current < self.config.measurements_per_point
-            and session.current_erv in set(candidates)
+            and session.current_erv in candidate_set
         )
         if keep_current:
             erv = session.current_erv

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exploration import ExplorationPlanner, poly_feature_count
 from repro.core.operating_point import MaturityStage, OperatingPointTable
+from repro.core.resource_vector import ErvLayout
+from repro.fleet.node import node_platform
+from repro.platform.topology import odroid_xu3e, raptor_lake_i9_13900k
 
 
 def _measure(table, erv, utility, power):
@@ -86,6 +91,68 @@ class TestInitialHeuristic:
         for erv in candidates:
             _measure(table, erv, 1.0, 1.0)
         assert planner.next_point(table, candidates) is None
+
+
+def _scalar_furthest_point(measured, candidates):
+    """The per-pair definition: max over (min distance, counts)."""
+    def min_dist(candidate):
+        return min(candidate.distance(m) for m in measured)
+    return max(candidates, key=lambda c: (min_dist(c), c.counts))
+
+
+_LAYOUTS = {
+    "intel": ErvLayout(raptor_lake_i9_13900k()),
+    "odroid": ErvLayout(odroid_xu3e()),
+    "node": ErvLayout(node_platform(0)),
+}
+
+
+@st.composite
+def _furthest_point_case(draw):
+    layout = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))]
+    grid = layout.enumerate_all()
+    indices = st.integers(0, len(grid) - 1)
+    measured = draw(st.sets(indices, min_size=1, max_size=12))
+    candidates = draw(
+        st.lists(indices, min_size=1, max_size=60, unique=True)
+    )
+    return (
+        {grid[i] for i in measured},
+        [grid[i] for i in candidates if i not in measured] or [grid[0]],
+    )
+
+
+class TestFurthestPointEquivalence:
+    """The broadcast ``_furthest_point`` picks what the per-pair one does."""
+
+    @given(_furthest_point_case())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_definition(self, case):
+        measured, candidates = case
+        planner = ExplorationPlanner(next(iter(measured)).layout)
+        assert planner._furthest_point(measured, candidates) is (
+            _scalar_furthest_point(measured, candidates)
+        )
+
+    def test_distance_tie_goes_to_largest_counts(self, intel_layout):
+        planner = ExplorationPlanner(intel_layout)
+        measured = {intel_layout.make(E=8)}
+        # Both are 4 away from E=8.
+        tied = [intel_layout.make(E=4), intel_layout.make(E=12)]
+        assert planner._furthest_point(measured, tied) == (
+            intel_layout.make(E=12)
+        )
+
+    def test_exhaustive_single_measurement_on_odroid(self, odroid_layout):
+        planner = ExplorationPlanner(odroid_layout)
+        grid = odroid_layout.enumerate_all()
+        for seen in grid:
+            for other in grid:
+                measured = {seen, other}
+                candidates = [c for c in grid if c not in measured]
+                assert planner._furthest_point(measured, candidates) is (
+                    _scalar_furthest_point(measured, candidates)
+                )
 
 
 class TestRefinementHeuristic:

@@ -1,11 +1,15 @@
 """Integration tests for the HARP resource manager."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.apps import npb_model, tflite_model
 from repro.core.manager import HarpManager, ManagerConfig, RmDaemonModel
 from repro.core.operating_point import MaturityStage
 from repro.core.resource_vector import ErvLayout
+from repro.fleet.node import node_platform
 from repro.libharp.adaptivity import AdaptationMode
 from repro.platform.dvfs import make_governor
 from repro.sim.engine import World
@@ -156,6 +160,37 @@ class TestExplorationProgress:
             # Application-specific utility is work/s (small numbers), not
             # IPS (billions).
             assert max(p.utility for p in table.measured_points()) < 1e6
+
+
+class TestExplorationCandidates:
+    """The per-capacity candidate table equals the brute-force filter."""
+
+    @pytest.mark.parametrize("platform_name", ["intel", "odroid", "node"])
+    def test_every_capacity_vector_matches_brute_force(
+        self, platform_name, intel, odroid
+    ):
+        platform = {
+            "intel": intel, "odroid": odroid, "node": node_platform(0),
+        }[platform_name]
+        manager = HarpManager(_world(platform), ManagerConfig())
+        # Built on the first lookup, not at construction.
+        assert manager._erv_cores is None
+        ranges = [
+            range(platform.count_of_type(ct.name) + 1)
+            for ct in platform.core_types
+        ]
+        for cap in itertools.product(*ranges):
+            expected = [
+                erv
+                for erv in manager._all_ervs
+                if all(u <= c for u, c in zip(erv.core_vector(), cap))
+            ]
+            candidates, candidate_set = manager._candidates_within(list(cap))
+            assert len(candidates) == len(expected)
+            assert all(a is b for a, b in zip(candidates, expected))
+            assert candidate_set == frozenset(expected)
+            assert manager._candidates_within(list(cap))[0] is candidates
+        assert len(manager._candidates_by_cap) == math.prod(map(len, ranges))
 
 
 class TestRmDaemon:

@@ -347,6 +347,8 @@ class TestIntegration:
 
         names = {e.name for e in obs.events}
         assert "rm.reallocate" in names
+        assert "rm.explore" in names
+        assert "rm.sample" in names
         assert "allocator.solve" in names
         assert "stage_transition" in names
         assert "process.start" in names and "process.exit" in names
