@@ -6,6 +6,10 @@ depends on:
 * **Allocator** — an 8-application × 64-operating-point MMKP solve
   (subgradient selection + greedy repair + placement), reference scalar
   loops vs the batched tensor path, plus the memoized-epoch fast path.
+* **Pruning** — dominance pruning of one full Raptor Lake row (every
+  ERV, 764 points): the allocator's core-count grid
+  (``dominated_cells``) vs the pairwise tensor (``dominated_mask``),
+  min and median over three seeds; the masks must be equal.
 * **Simulation** — a multi-application 1000-tick world under CFS,
   reference per-core scalar integration vs array-shaped power/energy
   integration with placement reuse.
@@ -26,6 +30,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +41,9 @@ if __name__ == "__main__":  # allow running as a plain script
 
 from repro.apps import npb_model
 from repro.core.allocator import AllocationRequest, LagrangianAllocator
+from repro.core.cost import batch_costs
 from repro.core.operating_point import OperatingPoint
+from repro.core.pareto import dominated_cells, dominated_mask
 from repro.core.resource_vector import ErvLayout, ExtendedResourceVector
 from repro.platform.topology import raptor_lake_i9_13900k
 from repro.sim.engine import World
@@ -128,6 +135,45 @@ def bench_allocator(n_apps: int = 8, n_points: int = 64, n_instances: int = 20) 
     }
 
 
+def _per_call_ms(fn, reps: int) -> float:
+    start = time.perf_counter()
+    for _ in range(reps):
+        fn()
+    return (time.perf_counter() - start) / reps * 1e3
+
+
+def bench_prune(seeds: tuple[int, ...] = (0, 1, 2), reps: int = 5) -> dict:
+    """Prune one full Raptor Lake row: core-count grid vs pairwise tensor."""
+    layout = ErvLayout(raptor_lake_i9_13900k())
+    ervs = layout.enumerate_all()
+    counts = np.array([erv.counts for erv in ervs], dtype=float)
+    cells = counts @ layout.type_projection()
+    grid_ms, pairwise_ms = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        cost = batch_costs(
+            rng.uniform(1.0, 150.0, len(ervs)),
+            rng.uniform(0.5, 20.0, len(ervs)),
+            20.0,
+        )
+        objectives = np.column_stack([cost, cells])
+        assert np.array_equal(
+            dominated_cells(cost, cells), dominated_mask(objectives)
+        ), f"grid and pairwise masks differ (seed {seed})"
+        grid_ms.append(_per_call_ms(partial(dominated_cells, cost, cells), reps))
+        pairwise_ms.append(_per_call_ms(partial(dominated_mask, objectives), reps))
+    return {
+        "n_points": len(ervs),
+        "seeds": list(seeds),
+        "reps": reps,
+        "grid_ms_min": min(grid_ms),
+        "grid_ms_median": float(np.median(grid_ms)),
+        "pairwise_ms_min": min(pairwise_ms),
+        "pairwise_ms_median": float(np.median(pairwise_ms)),
+        "speedup_median": float(np.median(pairwise_ms) / np.median(grid_ms)),
+    }
+
+
 def _build_world(vectorized: bool) -> World:
     world = World(
         raptor_lake_i9_13900k(), CfsScheduler(), seed=0, vectorized=vectorized
@@ -162,14 +208,17 @@ def bench_sim(ticks: int = 1000) -> dict:
 def run(smoke: bool = False) -> dict:
     if smoke:
         allocator = bench_allocator(n_apps=4, n_points=16, n_instances=3)
+        prune = bench_prune(reps=1)
         sim = bench_sim(ticks=100)
     else:
         allocator = bench_allocator()
+        prune = bench_prune()
         sim = bench_sim()
     report = {
         "bench": "hotpaths",
         "smoke": smoke,
         "allocator": allocator,
+        "prune": prune,
         "sim": sim,
     }
     path = SMOKE_RESULT_PATH if smoke else RESULT_PATH

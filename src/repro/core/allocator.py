@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.core.cost import batch_costs
 from repro.core.operating_point import OperatingPoint
-from repro.core.pareto import dominated_mask
+from repro.core.pareto import dominated_cells
 from repro.core.resource_vector import ErvLayout, ExtendedResourceVector
 from repro.obs import OBS
 from repro.platform.topology import Platform
@@ -741,8 +741,9 @@ class LagrangianAllocator:
         if self.prune and not req.mandatory and len(req.points) > 1:
             # Hysteresis is applied before pruning, so a discounted
             # current point survives exactly when the solver could
-            # still pick it.
-            dominated = dominated_mask(np.column_stack([cost_vec, res_mat]))
+            # still pick it.  The resource columns are integer core
+            # counts, so dominance is decided on the core-count grid.
+            dominated = dominated_cells(cost_vec, res_mat)
             if dominated.any():
                 keep = np.flatnonzero(~dominated)
                 self.stats.points_pruned += int(dominated.sum())

@@ -50,6 +50,63 @@ def dominated_mask(points: np.ndarray) -> np.ndarray:
     return (le & lt).any(axis=0)
 
 
+def dominated_cells(cost: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``dominated_mask(np.column_stack([cost, cells]))`` over an integer grid.
+
+    ``cells`` is an (n, m) matrix of small non-negative integers (core
+    counts per type), so every row sits on one cell of a grid of
+    ``prod(cells.max(axis=0) + 1)`` cells.  Row ``i`` at cell ``r`` is
+    dominated iff a row at ``r`` costs strictly less, or a row at a cell
+    ``r' <= r, r' != r`` costs no more.  ``cmin`` holds the least cost per
+    cell, ``prefix`` is ``cmin`` prefix-minimised along every axis (least
+    cost over ``r' <= r``), and ``strict[r] = min_k prefix[r - e_k]`` is
+    the least cost over the strict predecessors of ``r``.  That is
+    O(n + cells · m) work instead of the O(n² · m) pairwise tensor.
+
+    Non-finite costs follow the pairwise form's float arithmetic exactly:
+    a NaN or +inf row dominates nothing (so only finite and -inf costs
+    enter ``cmin``), a NaN or -inf row is never dominated (``-inf -
+    -inf`` is NaN), and a +inf row is dominated iff any finite or -inf
+    row sits at a cell ``<= r``.
+    """
+    c = np.asarray(cost, dtype=float)
+    grid = np.asarray(cells)
+    if (
+        c.ndim != 1 or grid.ndim != 2 or len(c) != len(grid)
+        or grid.shape[1] == 0
+    ):
+        raise ValueError("cost must be (n,) and cells (n, m) with m >= 1")
+    if len(c) == 0:
+        return np.zeros(0, dtype=bool)
+    idx = grid.astype(np.intp)
+    if (idx != grid).any():
+        raise ValueError("cells must be integer-valued")
+    if (idx < 0).any():
+        raise ValueError("cells must be non-negative")
+    shape = tuple(idx.max(axis=0) + 1)
+    flat = np.ravel_multi_index(tuple(idx.T), shape)
+    enters = c < np.inf
+    cmin = np.full(shape, np.inf)
+    np.minimum.at(cmin.reshape(-1), flat[enters], c[enters])
+    prefix = cmin
+    for axis in range(len(shape)):
+        prefix = np.minimum.accumulate(prefix, axis=axis)
+    strict = np.full(shape, np.inf)
+    for axis in range(len(shape)):
+        upper = (slice(None),) * axis + (slice(1, None),)
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        np.minimum(strict[upper], prefix[lower], out=strict[upper])
+    at_cell = cmin.reshape(-1)[flat]
+    below = strict.reshape(-1)[flat]
+    dominated = np.where(
+        c == np.inf,
+        prefix.reshape(-1)[flat] < np.inf,
+        (at_cell < c) | (below <= c),
+    )
+    dominated &= c != -np.inf
+    return dominated
+
+
 def pareto_front_indices(points: np.ndarray) -> list[int]:
     """Indices of the non-dominated rows of an (n, m) objective matrix.
 

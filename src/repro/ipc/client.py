@@ -86,6 +86,10 @@ class HarpSocketClient(Transport):
         self._push_listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._push_listener.bind(push_socket_path)
         self._push_listener.listen(1)
+        # Set before the push thread starts: a close() racing the
+        # thread's first statement would otherwise leave it calling
+        # settimeout on a closed socket.
+        self._push_listener.settimeout(_POLL_TIMEOUT_S)
         self._push_thread = threading.Thread(
             target=self._push_loop, name="libharp-push", daemon=True
         )
@@ -166,7 +170,6 @@ class HarpSocketClient(Transport):
             OBS.counter("ipc.thread_join_timeouts", role="client").inc()
 
     def _push_loop(self) -> None:
-        self._push_listener.settimeout(_POLL_TIMEOUT_S)
         while not self._stopping.is_set():
             try:
                 conn, _ = self._push_listener.accept()

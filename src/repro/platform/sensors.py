@@ -58,7 +58,9 @@ class EnergySensor:
             raise ValueError("power_w must be >= 0")
         base = power_w * dt_s
         if self.noise_std > 0:
-            noise = self._rng.normal(0.0, self.noise_std, size=n)
+            # tolist() yields Python floats (exact for float64), so the
+            # counter stays a float, as after n scalar accumulate() calls.
+            noise = self._rng.normal(0.0, self.noise_std, size=n).tolist()
             energy = self._energy_j
             for i in range(n):
                 energy += base * max(0.0, 1.0 + noise[i])

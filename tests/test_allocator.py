@@ -1,5 +1,6 @@
 """Tests for the MMKP allocator (Eq. 1)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from repro.core.allocator import (
     LagrangianAllocator,
 )
 from repro.core.operating_point import OperatingPoint
+from repro.core.pareto import dominated_mask
 from repro.core.resource_vector import ErvLayout, ExtendedResourceVector
 from repro.platform.topology import raptor_lake_i9_13900k
 
@@ -174,6 +176,48 @@ class TestGreedyAllocator:
             s.point.erv.cores_of_type("E") for s in result.selections.values()
         )
         assert demand_e <= 16
+
+
+class TestGridPruning:
+    """``_request_rows`` keeps exactly the rows the pairwise mask keeps."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("platform", ["intel", "odroid"])
+    def test_full_table_matches_pairwise_mask(self, request, platform, seed):
+        topo = request.getfixturevalue(platform)
+        layout = ErvLayout(topo)
+        ervs = layout.enumerate_all()
+        rng = np.random.default_rng(seed)
+        # Integer-valued power and utility force cost ties; the preferred
+        # point's hysteresis discount is applied before pruning.
+        points = [
+            OperatingPoint(
+                erv=erv,
+                utility=float(rng.integers(1, 6)),
+                power=float(rng.integers(1, 40)),
+                measured=True,
+                samples=1,
+            )
+            for erv in ervs
+        ]
+        req = AllocationRequest(
+            pid=1, points=points, max_utility=5.0,
+            preferred_erv=ervs[int(rng.integers(len(ervs)))],
+        )
+        allocator = LagrangianAllocator(topo, layout)
+        counts = np.array([p.erv.counts for p in points], dtype=float)
+        cost = allocator._costs_of(req, counts)
+        res = counts @ layout.type_projection()
+        expected = np.flatnonzero(
+            ~dominated_mask(np.column_stack([cost, res]))
+        )
+        cost_vec, res_mat, keep = allocator._request_rows(
+            req, allocator._request_key(req)
+        )
+        assert 0 < len(keep) < len(points)
+        np.testing.assert_array_equal(keep, expected)
+        np.testing.assert_array_equal(cost_vec, cost[expected])
+        np.testing.assert_array_equal(res_mat, res[expected])
 
 
 _LAYOUT = ErvLayout(raptor_lake_i9_13900k())

@@ -42,9 +42,22 @@ SCHEDULERS = {
 _APPS = ["ep.C", "is.C", "cg.C"]
 
 
+def _typed(value):
+    """``value`` with every leaf paired with its type.
+
+    ``np.float64(x) == x`` holds, so comparing ``_typed`` values is what
+    makes a parity assert catch a numpy scalar leaking out of one engine.
+    """
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
 def _fingerprint(world: World, exit_order: list[int]) -> dict:
-    """Everything the parity contract covers, exact values."""
-    return {
+    """Everything the parity contract covers, exact values and types."""
+    return _typed({
         "time_s": world.time_s,
         "tick_index": world.tick_index,
         "energy_j": world.total_energy_j(),
@@ -66,7 +79,7 @@ def _fingerprint(world: World, exit_order: list[int]) -> dict:
             (p.pid, tuple(sorted(p.cpu_time_by_type.items())))
             for p in world.processes.values()
         ),
-    }
+    })
 
 
 def _build_world(seed: int, engine: str, vectorized: bool = True) -> tuple:
@@ -183,10 +196,10 @@ class TestFaultReplayParity:
             world.run_for(4.0)
             assert injector.done()
             fp = _fingerprint(world, exit_order)
-            fp["fault_log"] = [
+            fp["fault_log"] = _typed([
                 (rec["at_s"], rec["kind"], rec["applied"])
                 for rec in injector.log
-            ]
+            ])
             manager.shutdown()
             results.append(fp)
         assert results[0] == results[1]
@@ -622,10 +635,10 @@ class TestMidStretchInvalidation:
         fp = _fingerprint(world, exit_order)
         if injector is not None:
             assert injector.done()
-            fp["fault_log"] = [
+            fp["fault_log"] = _typed([
                 (rec["at_s"], rec["kind"], rec["applied"])
                 for rec in injector.log
-            ]
+            ])
         manager.shutdown()
         return fp
 
@@ -681,7 +694,7 @@ class TestMidStretchInvalidation:
             world.run_for(2.0)
             assert fired[0]
             fp = _fingerprint(world, exit_order)
-            fp["epochs"] = manager.allocation_epochs
+            fp["epochs"] = _typed(manager.allocation_epochs)
             manager.shutdown()
             results.append(fp)
         assert results[0] == results[1]
@@ -717,7 +730,7 @@ class TestRunUntilCap:
             model.total_work = 0.8
             world.spawn(model, nthreads=2)
             spans.append(world.run_until_all_finished(max_seconds=30.0))
-        assert spans[0] == spans[1]
+        assert _typed(spans[0]) == _typed(spans[1])
 
 
 def _rejects(run) -> dict[str, float]:

@@ -28,6 +28,11 @@ from repro.platform.dvfs import make_governor
 from repro.sim.engine import World
 from repro.sim.schedulers.pinned import PinnedScheduler
 
+# A socket thread that dies with an exception is a failure, not a warning.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+
 
 def _world(platform, seed=0):
     return World(

@@ -28,6 +28,14 @@ from repro.scenario import (
 from repro.scenario.session import FleetSessionModel
 
 
+def _typed(value):
+    """``value`` with every leaf paired with its type, so that ``==``
+    also catches a numpy scalar standing in for a float."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    return type(value), value
+
+
 def _small_spec(**overrides) -> ScenarioSpec:
     base = dict(
         name="t-small",
@@ -172,7 +180,7 @@ class TestRunTrace:
         for result in (tick, event):
             result.pop("wall_s")
             result.pop("engine")
-        assert tick == event
+        assert _typed(tick) == _typed(event)
         assert tick["spawned"] > 0
         # The event engine must actually have leapt, or the parity is
         # vacuous.

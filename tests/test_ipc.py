@@ -30,6 +30,11 @@ from repro.ipc.protocol import (
 )
 from repro.ipc.server import HarpSocketServer
 
+# A socket thread that dies with an exception is a failure, not a warning.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+
 
 class TestMessages:
     def test_register_round_trip(self):
@@ -234,6 +239,24 @@ class TestUnixSockets:
             finally:
                 for client in clients:
                     client.close()
+
+    def test_open_close_cycles_leave_no_thread_exception(self, tmp_path):
+        # close() straight after construction races the push thread's
+        # start-up; the thread must never touch the closed listener.
+        rm_path = str(tmp_path / "rm.sock")
+        push_path = str(tmp_path / "c.sock")
+        errors = []
+        previous = threading.excepthook
+        threading.excepthook = errors.append
+        try:
+            with HarpSocketServer(rm_path, lambda m: Ack(ok=True)):
+                for _ in range(50):
+                    client = HarpSocketClient(rm_path, push_path)
+                    client.close()
+                    assert not client._push_thread.is_alive()
+        finally:
+            threading.excepthook = previous
+        assert [e.exc_value for e in errors] == []
 
     def test_socket_file_removed_on_stop(self, tmp_path):
         import os

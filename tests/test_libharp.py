@@ -20,6 +20,11 @@ from repro.libharp.client import LibHarpClient, RegistrationError
 from repro.libharp.hooks import detect_runtime
 from repro.sim.process import SimProcess
 
+# A socket thread that dies with an exception is a failure, not a warning.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+
 
 def _static_app():
     return ApplicationModel(

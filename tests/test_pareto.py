@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.pareto import (
     common_point_ratio,
+    dominated_cells,
+    dominated_mask,
     dominates,
     igd,
     pareto_front,
@@ -150,3 +152,56 @@ class TestParetoProperties:
     def test_igd_of_front_against_itself_is_zero(self, pts):
         front = pareto_front(pts)
         assert igd(front, front) == pytest.approx(0.0, abs=1e-12)
+
+
+@st.composite
+def _grid_table(draw):
+    """(cost, cells) rows on a small grid, heavy in ties and duplicates."""
+    m = draw(st.integers(1, 3))
+    sides = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    cell = st.tuples(*[st.integers(0, side - 1) for side in sides])
+    cost = st.one_of(
+        st.integers(0, 4).map(float),
+        st.sampled_from([np.inf, -np.inf, np.nan]),
+    )
+    rows = draw(st.lists(st.tuples(cost, cell), min_size=1, max_size=30))
+    copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    rows += [rows[i] for i in copies]
+    costs = np.array([c for c, _ in rows])
+    cells = np.array([r for _, r in rows], dtype=np.int64).reshape(-1, m)
+    return costs, cells
+
+
+class TestDominatedCells:
+    """The grid pruner is the pairwise mask, bit for bit."""
+
+    @given(_grid_table())
+    @example((np.full(4, 2.0), np.ones((4, 2), dtype=np.int64)))
+    @example((np.array([np.inf]), np.array([[2, 1]])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_mask(self, table):
+        cost, cells = table
+        with np.errstate(invalid="ignore"):
+            expected = dominated_mask(np.column_stack([cost, cells]))
+        np.testing.assert_array_equal(dominated_cells(cost, cells), expected)
+
+    def test_inf_row_dominated_only_from_below(self):
+        cost = np.array([np.inf, 1.0, np.inf])
+        cells = np.array([[0, 0], [1, 1], [2, 1]])
+        assert dominated_cells(cost, cells).tolist() == [False, False, True]
+
+    def test_float_cells_accepted_when_integral(self):
+        cost = np.array([1.0, 2.0])
+        cells = np.array([[1.0, 0.0], [1.0, 1.0]])
+        assert dominated_cells(cost, cells).tolist() == [False, True]
+
+    def test_empty_table(self):
+        assert dominated_cells(np.zeros(0), np.zeros((0, 2))).shape == (0,)
+
+    def test_negative_cells_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            dominated_cells(np.array([1.0, 2.0]), np.array([[0, 1], [-1, 2]]))
+
+    def test_fractional_cells_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            dominated_cells(np.array([1.0, 2.0]), np.array([[0.0], [1.5]]))
